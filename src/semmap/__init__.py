@@ -49,7 +49,7 @@ from .grid import (
     load_grid,
     save_classified_pgm,
 )
-from .mcmc import Chain, KernelKind, Proposal, apply_kernel, derive_world
+from .mcmc import Chain, KernelKind, Proposal, apply_kernel, derive_semantics, derive_world
 from .mln import (
     EvidenceSet,
     GroundNetwork,

@@ -1,7 +1,7 @@
 """Command-line surface: ``semmap infer | eval | mln | synth``.
 
 Exit codes: 0 success; 1 malformed input; 2 config/parse error; 3 empty map
-(infer) or no feasible MLN state (mln).
+(infer) or no feasible MLN state (infer, mln).
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def cmd_infer(args) -> int:
 
     results = []
     try:
-        for i in range(max(cfg.chains, 1)):
+        for i in range(cfg.chains):
             from dataclasses import replace
 
             chain_cfg = replace(cfg, seed=cfg.seed + i, chains=1)
@@ -97,6 +97,9 @@ def cmd_infer(args) -> int:
             results.append((world, states, stats, chain))
     except EmptyMap as exc:
         print(f"empty map: {exc}", file=sys.stderr)
+        return 3
+    except (AllWorldsExcluded, NoFeasibleState) as exc:
+        print(f"no feasible MLN state: {exc}", file=sys.stderr)
         return 3
 
     best_idx = max(

@@ -120,6 +120,9 @@ class RunConfig:
             raise ConfigError("coverage_gate must lie in (0, 1]")
         if self.iterations < 0 or self.burn_in < 0:
             raise ConfigError("iteration counts must be non-negative")
+        for name, low in (("chains", 1), ("wall_thickness", 1), ("dilate_radius", 0), ("sample_ring", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}")
         # fail fast on invalid scoring parameters
         try:
             self.prior_config()

@@ -168,13 +168,6 @@ def save_classified_pgm(cgrid: ClassifiedGrid, path) -> None:
         fh.write(img.tobytes())
 
 
-def load_classified_pgm(path, resolution: float = DEFAULT_RESOLUTION) -> ClassifiedGrid:
-    """Read a palette PGM written by save_classified_pgm (or any PGM,
-    thresholded back through classify with default thresholds)."""
-    og = load_grid(path, resolution=resolution)
-    return classify(og)
-
-
 def classify(
     grid: OccupancyGrid,
     free_below: float = DEFAULT_FREE_BELOW,

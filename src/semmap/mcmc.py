@@ -27,7 +27,7 @@ from . import mln as mln_mod
 from .config import RunConfig
 from .errors import EmptyMap, NotApplicable
 from .grid import CellState, ClassifiedGrid, connected_components, coverage
-from .scoring import LikelihoodField, dirty_rects_for_units
+from .scoring import LikelihoodField, dirty_rects_for_units, sale_log_prior
 from .world import (
     _cos_sin,
     footprint_in_window,
@@ -41,10 +41,10 @@ from .world import (
     detect_relations,
     detect_unexplored,
     geometry_to_type,
+    pair_overlaps,
     qcoord,
     rasterize,
-    _pair_overlap,
-    _best_wall_length,
+    wall_length_difference,
 )
 
 
@@ -344,7 +344,6 @@ class Chain:
         self.knowledge_active = self.coverage > config.coverage_gate
 
         self.tables = config.sensor_tables()
-        self.prior_cfg = config.prior_config()
         self.scorer = LikelihoodField(
             input_grid,
             self.tables,
@@ -431,68 +430,24 @@ class Chain:
         self.refresh_count += 1
         old_types = dict(self.types)
         old_doors = self.doors
-        if not self.units:
-            self.relations = None
-            self.doors = ()
-            self.sale = {}
-            self._rescore_full()
-            return
-        rel = detect_relations(
+        sem = derive_semantics(
             self.units,
-            self.shape,
-            dilate_radius=self.cfg.dilate_radius,
-            min_overlap_cells=self.cfg.min_overlap_cells,
+            self.input,
+            self.cfg,
+            self.rules,
+            self.knowledge_active,
+            seed=lambda: int(self.rng.integers(2**63)),
+            known_key=None if force else self.evidence_key,
         )
-        geom = [self._geometry_class(u) for u in self.units]
-        doors = tuple(
-            detect_doors(
-                self.units,
-                rel,
-                self.input,
-                self.cfg.door_min_cells(self.resolution),
-                self.cfg.door_max_cells(self.resolution),
-                wall_thickness=self.cfg.wall_thickness,
-                dilate_radius=self.cfg.dilate_radius,
-            )
-        )
-        self.relations = rel
-        self.doors = doors
-        if self.knowledge_active:
-            evidence = mln_mod.build_evidence(self.units, rel, doors, geom)
-            key = mln_mod.evidence_hash(evidence, self.rules)
-            if force or key != self.evidence_key:
-                self.evidence_key = key
-                network = mln_mod.ground(self.rules, evidence.constants, evidence)
-                marginals = mln_mod.infer_marginals(
-                    network,
-                    seed=int(self.rng.integers(2**63)),
-                    budget=self.cfg.mln_exact_budget,
-                    burn_in=self.cfg.mln_gibbs_burn_in,
-                    samples=self.cfg.mln_gibbs_samples,
-                    n_chains=self.cfg.mln_gibbs_chains,
-                )
+        self.relations = sem.relations
+        self.doors = sem.doors
+        if sem.types is not None:
+            self.types = {u.uid: t for u, t in zip(self.units, sem.types)}
+            self.sale = sem.sale
+            if sem.evidence_key is not None:
+                self.evidence_key = sem.evidence_key
                 self.mln_runs += 1
-                type_of = mln_mod.assign_types(marginals, evidence.constants)
-                self.types = {
-                    u.uid: type_of[evidence.constants[i]] for i, u in enumerate(self.units)
-                }
-                sale = {}
-                for p in range(len(self.units)):
-                    for q in range(p + 1, len(self.units)):
-                        cp, cq = evidence.constants[p], evidence.constants[q]
-                        m = 0.5 * (
-                            mln_mod.sale_probability(marginals, cp, cq)
-                            + mln_mod.sale_probability(marginals, cq, cp)
-                        )
-                        key_pq = self._pair_key(self.units[p].uid, self.units[q].uid)
-                        sale[key_pq] = m
-                self.sale = sale
-        else:
-            self.types = {
-                u.uid: geometry_to_type(geom[i]) for i, u in enumerate(self.units)
-            }
-            self.sale = {}
-        if force or self.types != old_types or self.doors != old_doors:
+        if force or not self.units or self.types != old_types or self.doors != old_doors:
             self._rescore_full()
 
     def _rescore_full(self):
@@ -511,43 +466,29 @@ class Chain:
 
     # -- prior ---------------------------------------------------------------
 
-    @staticmethod
-    def _pair_key(a: int, b: int):
-        return (a, b) if a <= b else (b, a)
-
     def _wall_diff(self, a: Unit, b: Unit):
-        key = self._pair_key(a.uid, b.uid)
+        key = (a.uid, b.uid)
         sig = (a.cx, a.cy, a.hu, a.hv, a.angle, b.cx, b.cy, b.hu, b.hv, b.angle)
         hit = self._wall_diff_cache.get(key)
         if hit is not None and hit[0] == sig:
             return hit[1]
-        win, overlap = _pair_overlap(a, b, self.shape, self.cfg.dilate_radius)
-        if overlap is None or int(overlap.sum()) < self.cfg.min_overlap_cells:
-            d = None
-        else:
-            la = _best_wall_length(a, win, overlap, self.cfg.dilate_radius)
-            lb = _best_wall_length(b, win, overlap, self.cfg.dilate_radius)
-            d = abs(la - lb)
+        lengths = wall_length_difference(
+            a, b, self.shape, self.cfg.dilate_radius, self.cfg.min_overlap_cells
+        )
+        d = None if lengths is None else lengths[2]
         self._wall_diff_cache[key] = (sig, d)
         return d
 
     def _prior_value(self, units) -> float:
         if not (self.knowledge_active and self.cfg.prior_enabled) or not self.sale:
             return 0.0
-        by_uid = {u.uid: u for u in units}
-        sigma2 = self.cfg.sigma_len * self.cfg.sigma_len
-        total = 0.0
-        for (ua, ub), prob in self.sale.items():
-            if prob <= self.cfg.sale_threshold:
-                continue
-            a, b = by_uid.get(ua), by_uid.get(ub)
-            if a is None or b is None:
-                continue
-            d = self._wall_diff(a, b)
-            if d is None:
-                continue
-            total -= d * d / (2.0 * sigma2)
-        return total
+        return sale_log_prior(
+            units,
+            self.sale,
+            self.cfg.sigma_len,
+            self.cfg.sale_threshold,
+            lambda p, q: self._wall_diff(units[p], units[q]),
+        )
 
     # -- proposals -------------------------------------------------------------
 
@@ -963,6 +904,88 @@ class Chain:
 # full semantic derivation
 
 
+@dataclass(frozen=True)
+class Semantics:
+    """What a fixed unit geometry implies, index-aligned with its units."""
+
+    relations: np.ndarray | None  # None without units
+    doors: tuple
+    geometry: tuple  # GeometryClass per unit
+    evidence_key: str | None  # None unless the knowledge gate is open
+    types: tuple | None  # None: the evidence matched known_key, no inference ran
+    sale: dict | None  # (uid_lo, uid_hi) -> SaLe marginal; None with types
+
+
+def derive_semantics(
+    units, input_grid: ClassifiedGrid, cfg: RunConfig, rules, knowledge_active, seed, known_key=None
+) -> Semantics:
+    """Relations, doors and geometry classes of units, in their given order,
+    from one pair-geometry pass; then their types and SaLe marginals.
+
+    With the knowledge gate open the types come from MLN inference, which
+    runs unless the evidence key equals known_key; ``seed()`` gives its seed
+    and is called only when it runs. With the gate closed the types follow
+    the geometry classes and SaLe is empty.
+    """
+    if not units:
+        return Semantics(None, (), (), None, (), {})
+    resolution = input_grid.resolution
+    shape = input_grid.states.shape
+    overlaps = pair_overlaps(units, shape, cfg.dilate_radius)
+    rel = detect_relations(
+        units,
+        shape,
+        dilate_radius=cfg.dilate_radius,
+        min_overlap_cells=cfg.min_overlap_cells,
+        overlaps=overlaps,
+    )
+    geom = tuple(
+        classify_geometry(
+            u, resolution, hall_area_min=cfg.hall_area_min_m2, corridor_ratio_min=cfg.corridor_ratio_min
+        )
+        for u in units
+    )
+    doors = tuple(
+        detect_doors(
+            units,
+            rel,
+            input_grid,
+            cfg.door_min_cells(resolution),
+            cfg.door_max_cells(resolution),
+            wall_thickness=cfg.wall_thickness,
+            dilate_radius=cfg.dilate_radius,
+            overlaps=overlaps,
+        )
+    )
+    if not knowledge_active:
+        return Semantics(rel, doors, geom, None, tuple(geometry_to_type(g) for g in geom), {})
+    evidence = mln_mod.build_evidence(units, rel, doors, geom)
+    key = mln_mod.evidence_hash(evidence, rules)
+    if key == known_key:
+        return Semantics(rel, doors, geom, key, None, None)
+    network = mln_mod.ground(rules, evidence.constants, evidence)
+    marginals = mln_mod.infer_marginals(
+        network,
+        seed=seed(),
+        budget=cfg.mln_exact_budget,
+        burn_in=cfg.mln_gibbs_burn_in,
+        samples=cfg.mln_gibbs_samples,
+        n_chains=cfg.mln_gibbs_chains,
+    )
+    consts = evidence.constants
+    type_of = mln_mod.assign_types(marginals, consts)
+    sale = {}
+    for p in range(len(units)):
+        for q in range(p + 1, len(units)):
+            ua, ub = sorted((units[p].uid, units[q].uid))
+            sale[ua, ub] = 0.5 * (
+                mln_mod.sale_probability(marginals, consts[p], consts[q])
+                + mln_mod.sale_probability(marginals, consts[q], consts[p])
+            )
+    types = tuple(type_of[consts[i]] for i in range(len(units)))
+    return Semantics(rel, doors, geom, key, types, sale)
+
+
 def derive_world(units, input_grid: ClassifiedGrid, cfg: RunConfig, knowledge_active=True, rules=None, seed=0):
     """Derive the complete semantic world (relations, doors, types, objects,
     unexplored areas) for a fixed unit geometry."""
@@ -973,49 +996,12 @@ def derive_world(units, input_grid: ClassifiedGrid, cfg: RunConfig, knowledge_ac
         world = World(units=(), types=(), resolution=resolution)
         states = rasterize((), input_grid, cfg.wall_thickness)
         return world, states
-    rel = detect_relations(
-        units,
-        input_grid.states.shape,
-        dilate_radius=cfg.dilate_radius,
-        min_overlap_cells=cfg.min_overlap_cells,
-    )
-    geom = [
-        classify_geometry(
-            u, resolution, hall_area_min=cfg.hall_area_min_m2, corridor_ratio_min=cfg.corridor_ratio_min
-        )
-        for u in units
-    ]
-    doors = tuple(
-        detect_doors(
-            units,
-            rel,
-            input_grid,
-            cfg.door_min_cells(resolution),
-            cfg.door_max_cells(resolution),
-            wall_thickness=cfg.wall_thickness,
-            dilate_radius=cfg.dilate_radius,
-        )
-    )
-    if knowledge_active:
-        evidence = mln_mod.build_evidence(units, rel, doors, geom)
-        network = mln_mod.ground(rules, evidence.constants, evidence)
-        marginals = mln_mod.infer_marginals(
-            network,
-            seed=seed,
-            budget=cfg.mln_exact_budget,
-            burn_in=cfg.mln_gibbs_burn_in,
-            samples=cfg.mln_gibbs_samples,
-            n_chains=cfg.mln_gibbs_chains,
-        )
-        type_of = mln_mod.assign_types(marginals, evidence.constants)
-        types = tuple(type_of[evidence.constants[i]] for i in range(len(units)))
-    else:
-        types = tuple(geometry_to_type(g) for g in geom)
+    sem = derive_semantics(units, input_grid, cfg, rules, knowledge_active, seed=lambda: seed)
     state_map = rasterize(
         units,
         input_grid,
         wall_thickness=cfg.wall_thickness,
-        doors=doors,
+        doors=sem.doors,
         object_from_occupied=cfg.object_from_occupied,
     )
     objects, cleaned = detect_objects(state_map, min_object_cells=cfg.min_object_cells)
@@ -1024,9 +1010,9 @@ def derive_world(units, input_grid: ClassifiedGrid, cfg: RunConfig, knowledge_ac
     )
     world = World(
         units=units,
-        types=types,
-        relations=rel,
-        doors=doors,
+        types=sem.types,
+        relations=sem.relations,
+        doors=sem.doors,
         objects=tuple(objects),
         unexplored=tuple(unexplored),
         resolution=resolution,

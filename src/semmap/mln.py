@@ -20,6 +20,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
+from importlib import resources
 
 import numpy as np
 
@@ -48,34 +49,6 @@ _TYPE_OF_ATOM = {
     "Hall": UnitType.HALL,
     "Other": UnitType.OTHER,
 }
-
-DEFAULT_RULES_TEXT = """\
-# basic features
-hard :: Adj(p,q) -> Adj(q,p)
-hard :: SaLe(p,q) -> SaLe(q,p)
-# reasoning on type
-hard :: HaLi(p) -> Hall(p)
-hard :: HaLi(p) -> !Room(p)
-hard :: HaLi(p) -> !Corr(p)
-hard :: HaLi(p) -> !Other(p)
-hard :: RoLi(p) -> !Hall(p)
-hard :: CoLi(p) -> !Hall(p)
-2.0 :: RoLi(p) & !MulDoor(p) -> Room(p)
-2.0 :: RoLi(p) & !MulDoor(p) -> !Corr(p)
-hard :: RoLi(p) & MulDoor(p) -> Other(p)
-hard :: CoLi(p) & !MulDoor(p) -> Other(p)
-2.0 :: CoLi(p) & MulDoor(p) -> Corr(p)
-2.0 :: CoLi(p) & MulDoor(p) -> !Room(p)
-# reasoning on SaLe
-hard :: !Adj(q,p) -> !SaLe(p,q)
-hard :: Room(p) & Room(q) & Adj(p,q) -> SaLe(p,q)
-hard :: Room(p) & Hall(q) & Adj(p,q) -> !SaLe(p,q)
-hard :: Room(p) & Corr(q) & Adj(p,q) -> !SaLe(p,q)
-hard :: Hall(p) & Corr(q) & Adj(p,q) -> !SaLe(p,q)
-hard :: Other(p) & Hall(q) & Adj(p,q) -> !SaLe(p,q)
-hard :: Other(p) & Corr(q) & Adj(p,q) -> !SaLe(p,q)
-hard :: Other(p) & Room(q) & Adj(p,q) -> !SaLe(p,q)
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +145,13 @@ def parse_rules(text: str):
     return rules
 
 
+def default_rules_text() -> str:
+    """The packaged default rule set, ``data/default.rules``."""
+    return resources.files("semmap").joinpath("data/default.rules").read_text(encoding="utf-8")
+
+
 def default_rules():
-    return parse_rules(DEFAULT_RULES_TEXT)
+    return parse_rules(default_rules_text())
 
 
 def hard_rules():
@@ -185,7 +163,7 @@ def hard_rules():
     """
     text = "\n".join(
         "hard ::" + line.split("::", 1)[1]
-        for line in DEFAULT_RULES_TEXT.splitlines()
+        for line in default_rules_text().splitlines()
         if "::" in line
     )
     return parse_rules(text)

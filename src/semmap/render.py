@@ -1,4 +1,4 @@
-"""Figure emission: classified-map overlays (PPM P6, optional SVG), thin-line
+"""Figure emission: classified-map overlays (PPM P6), thin-line
 posterior sample overlays, and Graphviz DOT export of the abstract graph.
 """
 
@@ -220,61 +220,3 @@ def render_graph(graph: AbstractGraph, path) -> str:
     except OSError as exc:
         raise SemmapError(f"cannot write {path}: {exc}") from exc
     return text
-
-
-def render_world_svg(input_grid: ClassifiedGrid, world: World, path):
-    """Vector overlay: unit rectangles, doors and labels over a coarse map
-    raster (SVG 1.1 subset: rect, line, text)."""
-    h, w = input_grid.states.shape
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">',
-        f'<rect x="0" y="0" width="{w}" height="{h}" fill="rgb(128,128,128)"/>',
-    ]
-    free = input_grid.states == CellState.FREE
-    occ = input_grid.states == CellState.OCCUPIED
-    for mask, color in ((free, "white"), (occ, "black")):
-        for y0, x0, y1, x1 in _mask_runs(mask):
-            parts.append(
-                f'<rect x="{x0}" y="{y0}" width="{x1 - x0}" height="{y1 - y0}" fill="{color}"/>'
-            )
-    for i, u in enumerate(world.units):
-        pts = u.vertices()
-        path_d = " ".join(f"{p[0]:.2f},{p[1]:.2f}" for p in pts)
-        parts.append(
-            f'<polygon points="{path_d}" fill="none" stroke="blue" stroke-width="1"/>'
-        )
-        letter = world.types[i].letter if i < len(world.types) else "E"
-        parts.append(
-            f'<text x="{u.cx:.1f}" y="{u.cy:.1f}" font-size="10" fill="black" '
-            f'text-anchor="middle">{letter}{u.uid}</text>'
-        )
-    for d in world.doors:
-        parts.append(
-            f'<line x1="{d.p0[0]:.2f}" y1="{d.p0[1]:.2f}" x2="{d.p1[0]:.2f}" '
-            f'y2="{d.p1[1]:.2f}" stroke="cyan" stroke-width="2"/>'
-        )
-    parts.append("</svg>")
-    text = "\n".join(parts) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return text
-
-
-def _mask_runs(mask: np.ndarray):
-    """Row-wise runs of a mask as (y0, x0, y1, x1) rectangles."""
-    out = []
-    for y in range(mask.shape[0]):
-        row = mask[y]
-        xs = np.nonzero(row)[0]
-        if xs.size == 0:
-            continue
-        start = xs[0]
-        prev = xs[0]
-        for x in xs[1:]:
-            if x != prev + 1:
-                out.append((y, int(start), y + 1, int(prev) + 1))
-                start = x
-            prev = x
-        out.append((y, int(start), y + 1, int(prev) + 1))
-    return out

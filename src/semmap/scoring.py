@@ -96,6 +96,27 @@ class Score:
         return self.log_prior + self.log_likelihood
 
 
+def sale_log_prior(units, sale: dict, sigma_len: float, sale_threshold: float, wall_diff) -> float:
+    """Sum of -d^2 / (2 sigma^2) over unit pairs p < q, in unit order, whose
+    SaLe marginal exceeds the threshold; pairs below threshold contribute 0,
+    and the uniform p(T, R) adds only a constant.
+
+    ``sale`` maps unordered uid pairs (min, max) to marginal probabilities;
+    ``wall_diff(p, q)`` gives the pair's connecting-wall length difference
+    d, or None to leave the pair out.
+    """
+    total = 0.0
+    n = len(units)
+    for p in range(n):
+        for q in range(p + 1, n):
+            if sale.get(_pair_key(units[p].uid, units[q].uid), 0.0) <= sale_threshold:
+                continue
+            d = wall_diff(p, q)
+            if d is not None:
+                total -= d * d / (2.0 * sigma_len * sigma_len)
+    return total
+
+
 def log_prior(
     world: World,
     sale: dict,
@@ -104,32 +125,23 @@ def log_prior(
     dilate_radius: int = 3,
     strict: bool = True,
 ) -> float:
-    """Sum of -d^2 / (2 sigma^2) over unordered unit pairs whose SaLe marginal
-    exceeds the threshold; pairs below threshold contribute 0, and the uniform
-    p(T, R) adds only a constant.
+    """The sale_log_prior of a world, with each pair's wall lengths from
+    connecting_wall_lengths.
 
-    ``sale`` maps unordered uid pairs (min, max) to marginal probabilities.
     With strict=True a flagged pair without an identifiable connecting wall
     raises MissingWalls; otherwise it is skipped.
     """
-    total = 0.0
-    n = world.n
-    for p in range(n):
-        for q in range(p + 1, n):
-            key = _pair_key(world.units[p].uid, world.units[q].uid)
-            prob = sale.get(key, 0.0)
-            if prob <= cfg.sale_threshold:
-                continue
-            try:
-                _, _, d = connecting_wall_lengths(world, p, q, shape, dilate_radius)
-            except NotAdjacent as exc:
-                if strict:
-                    raise MissingWalls(
-                        f"pair {key} flagged by SaLe has no connecting wall"
-                    ) from exc
-                continue
-            total -= d * d / (2.0 * cfg.sigma_len * cfg.sigma_len)
-    return total
+
+    def wall_diff(p, q):
+        try:
+            return connecting_wall_lengths(world, p, q, shape, dilate_radius)[2]
+        except NotAdjacent as exc:
+            if strict:
+                key = _pair_key(world.units[p].uid, world.units[q].uid)
+                raise MissingWalls(f"pair {key} flagged by SaLe has no connecting wall") from exc
+            return None
+
+    return sale_log_prior(world.units, sale, cfg.sigma_len, cfg.sale_threshold, wall_diff)
 
 
 def _pair_key(a: int, b: int):
@@ -358,13 +370,6 @@ class LikelihoodField:
             self.log_psi,
         )
         return float(terms.sum())
-
-    def state_map(self) -> WorldStateMap:
-        return WorldStateMap(
-            states=self.states.copy(),
-            membership=self.membership.copy(),
-            owner=self.owner.copy(),
-        )
 
 
 def dirty_rects_for_units(units, shape, margin: int = 2):

@@ -28,11 +28,6 @@ def qcoord(x: float) -> float:
     return round(x * QUANT) / QUANT
 
 
-def qhalf(x: float) -> float:
-    """Snap to the half-cell lattice proposals are drawn on."""
-    return round(x * 2.0) / 2.0
-
-
 def _cos_sin(angle: float):
     """cos/sin with exact snapping near the axis directions, so rotations by
     pi/2 rasterize identically to axis-aligned units."""
@@ -458,45 +453,70 @@ def _pair_overlap(a: Unit, b: Unit, shape, radius: int):
     return win, overlap
 
 
+def pair_overlaps(units, shape, dilate_radius: int = 3) -> dict:
+    """Ring overlap of every unit pair, {(p, q): (window, overlap)} for p < q.
+
+    Relation and door detection read the same table, so each pair's boundary
+    rings are dilated once per derivation.
+    """
+    n = len(units)
+    return {
+        (p, q): _pair_overlap(units[p], units[q], shape, dilate_radius)
+        for p in range(n)
+        for q in range(p + 1, n)
+    }
+
+
 def detect_relations(
     units,
     shape,
     dilate_radius: int = 3,
     min_overlap_cells: int = 4,
+    overlaps=None,
 ) -> np.ndarray:
     """Adjacency matrix from dilated-wall overlap.
 
     r[p, q] is True iff the dilated boundary rings of units p and q share at
     least min_overlap_cells raster cells. Symmetric with a False diagonal.
+    ``overlaps`` is the pair_overlaps table, computed here when not given.
     """
     if len(units) < 1:
         raise ValueError("need at least one unit")
+    if overlaps is None:
+        overlaps = pair_overlaps(units, shape, dilate_radius)
     n = len(units)
     rel = np.zeros((n, n), dtype=bool)
-    for p in range(n):
-        for q in range(p + 1, n):
-            _, overlap = _pair_overlap(units[p], units[q], shape, dilate_radius)
-            if overlap is not None and int(overlap.sum()) >= min_overlap_cells:
-                rel[p, q] = rel[q, p] = True
+    for (p, q), (_, overlap) in overlaps.items():
+        if overlap is not None and int(overlap.sum()) >= min_overlap_cells:
+            rel[p, q] = rel[q, p] = True
     return rel
 
 
-def connecting_wall_lengths(world: World, p: int, q: int, shape, dilate_radius: int = 3):
-    """Identify the walls joining adjacent units p and q and compare lengths.
+def wall_length_difference(a: Unit, b: Unit, shape, dilate_radius: int = 3, min_overlap_cells: int = 1):
+    """Compare the walls joining units a and b.
 
-    Returns (len_p, len_q, d) where each length is the full side length (in
-    cells) of the wall whose dilated band carries the p-q overlap, and
-    d = |len_p - len_q|.
+    Returns (len_a, len_b, d) where each length is the full side length (in
+    cells) of the wall whose dilated band carries the a-b ring overlap, and
+    d = |len_a - len_b|; None when the rings share fewer than
+    min_overlap_cells cells.
     """
-    if world.relations is None or not world.relations[p, q]:
-        raise NotAdjacent(f"units {p} and {q} are not adjacent")
-    a, b = world.units[p], world.units[q]
     win, overlap = _pair_overlap(a, b, shape, dilate_radius)
-    if overlap is None:
-        raise NotAdjacent(f"units {p} and {q} have no wall overlap")
+    if overlap is None or int(overlap.sum()) < min_overlap_cells:
+        return None
     len_a = _best_wall_length(a, win, overlap, dilate_radius)
     len_b = _best_wall_length(b, win, overlap, dilate_radius)
     return len_a, len_b, abs(len_a - len_b)
+
+
+def connecting_wall_lengths(world: World, p: int, q: int, shape, dilate_radius: int = 3):
+    """wall_length_difference of the adjacent units p and q of a world;
+    NotAdjacent when they are not related or share no wall overlap."""
+    if world.relations is None or not world.relations[p, q]:
+        raise NotAdjacent(f"units {p} and {q} are not adjacent")
+    lengths = wall_length_difference(world.units[p], world.units[q], shape, dilate_radius)
+    if lengths is None:
+        raise NotAdjacent(f"units {p} and {q} have no wall overlap")
+    return lengths
 
 
 def _best_wall_length(unit: Unit, window, overlap: np.ndarray, radius: int) -> float:
@@ -529,15 +549,19 @@ def detect_doors(
     dilate_radius: int = 3,
     occupied_frac: float = 0.2,
     free_frac: float = 0.25,
+    overlaps=None,
 ):
     """Find free openings on the shared-wall bands of adjacent pairs.
 
-    The band is the overlap of the pair's dilated boundary rings. Scanning
-    along the band's long axis, a position is open when its cross-section is
+    The band is the overlap of the pair's dilated boundary rings, read from
+    the pair_overlaps table (computed here when not given). Scanning along
+    the band's long axis, a position is open when its cross-section is
     mostly free of occupied cells; maximal open runs with length within
     [min_width, max_width] become doors.
     """
     shape = input_grid.states.shape
+    if overlaps is None:
+        overlaps = pair_overlaps(units, shape, dilate_radius)
     doors = []
     n = len(units)
     carve_halfwidth = wall_thickness + 1.0
@@ -545,7 +569,7 @@ def detect_doors(
         for q in range(p + 1, n):
             if not relations[p, q]:
                 continue
-            win, overlap = _pair_overlap(units[p], units[q], shape, dilate_radius)
+            win, overlap = overlaps[p, q]
             if overlap is None:
                 continue
             x0, y0, x1, y1 = win

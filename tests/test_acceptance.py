@@ -72,7 +72,7 @@ def _random_network(seed):
                 atoms[("Adj", (constants[q], constants[p]))] = True
     evidence = M.EvidenceSet(constants=constants, atoms=atoms)
     lines = []
-    for line in M.DEFAULT_RULES_TEXT.splitlines():
+    for line in M.default_rules_text().splitlines():
         if "::" not in line:
             continue
         body = line.split("::", 1)[1]

@@ -77,10 +77,21 @@ def test_infer_missing_map_exit_1(tmp_path):
     assert main(["infer", str(tmp_path / "nope.pgm"), "--out", str(tmp_path / "o")]) == 1
 
 
-def test_infer_bad_config_exit_2(tmp_path, demo_pgm):
+@pytest.mark.parametrize(
+    "line",
+    [
+        "unknown_key = 7",
+        "wall_thickness = 0.5",
+        "chains = 0",
+        "dilate_radius = -1",
+        "sample_ring = -1",
+    ],
+    ids=lambda line: line.split(" ", 1)[0],
+)
+def test_infer_bad_config_exit_2(tmp_path, demo_pgm, line):
     pgm, _ = demo_pgm
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("unknown_key = 7\n")
+    cfg.write_text(line + "\n")
     assert main(["infer", pgm, "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
 
 
@@ -88,6 +99,23 @@ def test_infer_empty_map_exit_3(tmp_path):
     p = tmp_path / "empty.pgm"
     p.write_text("P2\n8 8\n255\n" + " ".join(["128"] * 64) + "\n")
     assert main(["infer", str(p), "--out", str(tmp_path / "o")]) == 3
+
+
+def test_infer_contradictory_rules_exit_3(tmp_path, capsys):
+    prefix = tmp_path / "floor"
+    assert main(["synth", "demo", "--seed", "4", "--out", str(prefix)]) == 0
+    rules = tmp_path / "bad.rules"
+    rules.write_text("hard :: HaLi(p) -> Hall(p)\nhard :: HaLi(p) -> !Hall(p)\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"hall_area_min_m2 = 25.0\nrules_file = {rules}\n")
+    capsys.readouterr()
+    rc = main([
+        "infer", str(prefix) + ".pgm", "--out", str(tmp_path / "o"),
+        "--config", str(cfg), "--iterations", "0",
+    ])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
 def test_infer_knowledge_gate_reported_inactive(tmp_path):

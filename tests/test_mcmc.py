@@ -3,20 +3,27 @@ import math
 import numpy as np
 import pytest
 
+from conftest import TWO_ROOMS_A, TWO_ROOMS_H, TWO_ROOMS_R1, TWO_ROOMS_R3, build_two_rooms_map, floor_spec
+
+import semmap.world as world_mod
 from semmap.config import RunConfig
 from semmap.errors import EmptyMap, NotApplicable
-from semmap.grid import CellState, ClassifiedGrid
+from semmap.evaluation import generate_synthetic
+from semmap.grid import CellState, ClassifiedGrid, classify
 from semmap.mcmc import (
     Chain,
     KernelKind,
     apply_kernel,
+    derive_semantics,
     derive_world,
     interchange_candidates,
     merge_units,
     move_wall,
     split_unit,
 )
-from semmap.world import Unit, qcoord
+from semmap.mln import hard_rules
+from semmap.scoring import log_prior
+from semmap.world import Unit, World, detect_relations, qcoord
 
 
 def free_box_grid(w=80, h=60, seed=None):
@@ -307,3 +314,66 @@ def test_run_returns_fully_derived_world():
     assert stats["iterations"] == 600
     assert stats["best_log_posterior"] > -math.inf
     assert set(stats["kernels"].keys()) == {k.name.lower() for k in KernelKind}
+
+
+# -- one semantics path -----------------------------------------------------------
+
+
+def _floor_units_and_grid():
+    grid, truth = generate_synthetic(floor_spec(0, noise=0.0), seed=0)
+    return truth.units, classify(grid)
+
+
+def _two_rooms_units_and_grid():
+    # A one cell taller than R1, so the SaLe pair's walls differ in length
+    a = Unit(TWO_ROOMS_A.uid, TWO_ROOMS_A.cx, TWO_ROOMS_A.cy + 1.0, TWO_ROOMS_A.hu, TWO_ROOMS_A.hv + 1.0)
+    return (TWO_ROOMS_R1, a, TWO_ROOMS_H, TWO_ROOMS_R3), build_two_rooms_map()
+
+
+def _chain_at(units, grid):
+    chain = Chain(grid, small_config(hall_area_min_m2=25.0, iterations=0), rules=hard_rules())
+    assert chain.knowledge_active
+    chain.units = tuple(sorted(units, key=lambda u: u.uid))
+    chain.refresh(force=True)
+    return chain
+
+
+@pytest.mark.parametrize("fixture", [_floor_units_and_grid, _two_rooms_units_and_grid])
+def test_refresh_and_derive_world_agree(fixture):
+    units, grid = fixture()
+    chain = _chain_at(units, grid)
+    world, _ = derive_world(units, grid, chain.cfg, knowledge_active=True, rules=hard_rules(), seed=5)
+    assert np.array_equal(chain.relations, world.relations)
+    assert chain.relations.sum() > 0
+    assert chain.doors == world.doors
+    assert chain.types == {u.uid: t for u, t in zip(world.units, world.types)}
+
+
+def test_derive_semantics_builds_each_pair_overlap_once(monkeypatch):
+    units, grid = _floor_units_and_grid()
+    calls = []
+    real = world_mod._pair_overlap
+
+    def counting(a, b, *args):
+        calls.append((a.uid, b.uid))
+        return real(a, b, *args)
+
+    monkeypatch.setattr(world_mod, "_pair_overlap", counting)
+    sem = derive_semantics(units, grid, small_config(), hard_rules(), True, seed=lambda: 0)
+    n = len(units)
+    assert len(calls) == len(set(calls)) == n * (n - 1) // 2
+    assert sem.doors
+
+
+def test_chain_prior_equals_log_prior():
+    units, grid = _two_rooms_units_and_grid()
+    chain = _chain_at(units, grid)
+    cfg = chain.cfg
+    shape = grid.states.shape
+    rel = detect_relations(
+        chain.units, shape, dilate_radius=cfg.dilate_radius, min_overlap_cells=cfg.min_overlap_cells
+    )
+    world = World(units=chain.units, relations=rel)
+    expected = log_prior(world, chain.sale, cfg.prior_config(), shape, cfg.dilate_radius, strict=False)
+    assert expected < 0.0
+    assert chain._prior_value(chain.units) == expected

@@ -12,11 +12,11 @@ from semmap.errors import (
     UnknownPredicate,
 )
 from semmap.mln import (
-    DEFAULT_RULES_TEXT,
     EvidenceSet,
     assign_types,
     build_evidence,
     default_rules,
+    default_rules_text,
     evidence_hash,
     ground,
     hard_rules,
@@ -140,10 +140,6 @@ def test_parse_rejects_bad_weight():
 
 
 def test_default_rules_match_packaged_file():
-    import importlib.resources as res
-
-    packaged = res.files("semmap").joinpath("data/default.rules").read_text()
-    assert packaged == DEFAULT_RULES_TEXT
     assert len(default_rules()) == 22
 
 
@@ -231,7 +227,7 @@ def test_exact_matches_oracle_random_two_units(seed):
     ev = evidence_for(geoms, muldoors, adj)
     # random mixed hard/soft weights over the Table rules
     lines = []
-    for line in DEFAULT_RULES_TEXT.splitlines():
+    for line in default_rules_text().splitlines():
         if "::" not in line:
             continue
         body = line.split("::", 1)[1]

@@ -13,7 +13,6 @@ from semmap.render import (
     render_graph,
     render_samples,
     render_world,
-    render_world_svg,
 )
 from semmap.world import (
     Component,
@@ -145,13 +144,3 @@ def test_render_graph_empty_world_valid_dot(tmp_path):
     world = World(units=(), types=())
     text = render_graph(abstract_graph(world), tmp_path / "empty.dot")
     assert text == "graph abstract_world {\n}\n"
-
-
-def test_render_svg_contains_units_and_doors(tmp_path):
-    grid = tiny_grid()
-    unit = Unit(0, 15.0, 12.0, 9.0, 7.0)
-    door = Door(0, 1, (13.0, 5.0), (18.0, 5.0), 5.0)
-    world = World(units=(unit,), types=(UnitType.HALL,), doors=(door,))
-    text = render_world_svg(grid, world, tmp_path / "w.svg")
-    assert text.startswith("<svg")
-    assert "<polygon" in text and "H0" in text and "stroke=\"cyan\"" in text
