@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .errors import (
     MalformedFile,
     NoFeasibleState,
     RulesParseError,
-    SemmapError,
     UnknownPredicate,
     UnsupportedFormat,
 )
@@ -48,6 +48,13 @@ def _dump_json(obj, path):
         fh.write("\n")
 
 
+def _write_samples(entries, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for entry in entries:
+            fh.write(json.dumps(entry, sort_keys=True))
+            fh.write("\n")
+
+
 def _load_run_config(args) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
@@ -58,8 +65,6 @@ def _load_run_config(args) -> RunConfig:
         if value is not None:
             overrides[name] = value
     if overrides:
-        from dataclasses import replace
-
         cfg = replace(cfg, **overrides)
     return cfg
 
@@ -89,8 +94,6 @@ def cmd_infer(args) -> int:
     results = []
     try:
         for i in range(cfg.chains):
-            from dataclasses import replace
-
             chain_cfg = replace(cfg, seed=cfg.seed + i, chains=1)
             chain = Chain(cgrid, chain_cfg, rules=rules)
             world, states, stats = chain.run()
@@ -108,19 +111,11 @@ def cmd_infer(args) -> int:
     world, states, stats, chain = results[best_idx]
 
     _dump_json(world_to_dict(world), os.path.join(args.out, "world.json"))
-    with open(os.path.join(args.out, "samples.ndjson"), "w", encoding="utf-8") as fh:
-        for entry in chain.log_entries:
-            fh.write(json.dumps(entry, sort_keys=True))
-            fh.write("\n")
+    _write_samples(chain.log_entries, os.path.join(args.out, "samples.ndjson"))
     if len(results) > 1:
-        for i, (w_i, _, s_i, c_i) in enumerate(results):
+        for i, (w_i, _, _, c_i) in enumerate(results):
             _dump_json(world_to_dict(w_i), os.path.join(args.out, f"world_chain{i}.json"))
-            with open(
-                os.path.join(args.out, f"samples_chain{i}.ndjson"), "w", encoding="utf-8"
-            ) as fh:
-                for entry in c_i.log_entries:
-                    fh.write(json.dumps(entry, sort_keys=True))
-                    fh.write("\n")
+            _write_samples(c_i.log_entries, os.path.join(args.out, f"samples_chain{i}.ndjson"))
     all_stats = {
         "best_chain": best_idx,
         "chains": [r[2] for r in results],
@@ -242,29 +237,27 @@ def cmd_mln(args) -> int:
                 rules = mln_mod.parse_rules(fh.read())
         evidence = _parse_evidence_file(args.evidence)
         queries = [_parse_query(q) for q in args.query]
+        if args.burn_in < 0 or args.samples < 1:
+            raise ValueError("need --burn-in >= 0 and --samples >= 1")
     except (RulesParseError, UnknownPredicate, OSError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     network = mln_mod.ground(rules, evidence.constants, evidence)
     try:
-        if args.gibbs:
-            marginals = mln_mod.infer_gibbs(
-                network,
-                burn_in=args.burn_in,
-                samples=args.samples,
-                seed=args.seed,
-            )
-        else:
-            marginals = mln_mod.infer_exact(network)
+        marginals = mln_mod.infer_marginals(
+            network,
+            seed=args.seed,
+            # exact inference within the budget; a budget of -1 forces Gibbs
+            budget=-1 if args.gibbs else mln_mod.EXACT_ATOM_BUDGET,
+            burn_in=args.burn_in,
+            samples=args.samples,
+        )
     except NoFeasibleState as exc:
         print(f"no feasible state: {exc}", file=sys.stderr)
         return 3
     except AllWorldsExcluded as exc:
         print(f"contradictory evidence: {exc}", file=sys.stderr)
         return 3
-    except SemmapError as exc:
-        print(f"inference error: {exc}", file=sys.stderr)
-        return 2
     out = {}
     for name, qargs in queries:
         if qargs is None:

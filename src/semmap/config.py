@@ -1,13 +1,16 @@
-"""Run configuration: every tunable of the pipeline in one dataclass, loadable
+"""Run configuration: the tunables of the pipeline in one dataclass, loadable
 from a flat key-value text file (``key = value``, ``#`` comments). CLI flags
-override file values which override the built-in defaults.
+override file values which override the built-in defaults. Every value is
+validated on construction, so a bad file fails at load with ConfigError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidThresholds
+from .grid import check_thresholds
 from .scoring import (
     DEFAULT_CORRIDOR_TABLE,
     DEFAULT_NONCORRIDOR_TABLE,
@@ -15,6 +18,7 @@ from .scoring import (
     PriorConfig,
     SensorModelTable,
 )
+from .world import _check_geometry_thresholds
 
 KERNEL_NAMES = (
     "add",
@@ -42,6 +46,28 @@ DEFAULT_KERNEL_WEIGHTS = {
 
 _SENSOR_ROWS = ("occupied", "unknown", "free")
 
+# a move is only proposed when its reverse can be: each kernel pair is on
+# (positive weights) or off together
+_REVERSE_PAIRS = (("add", "remove"), ("split", "merge"), ("shrink", "dilate"), ("allocate", "delete"))
+
+# smallest admissible value of each count and size that has one
+_LOWER_BOUNDS = (
+    ("seed", 0),
+    ("iterations", 0),
+    ("burn_in", 0),
+    ("chains", 1),
+    ("wall_thickness", 1),
+    ("min_half_extent", 1),
+    ("dilate_radius", 0),
+    ("min_overlap_cells", 1),
+    ("min_object_cells", 1),
+    ("mln_refresh_structural", 1),
+    ("mln_refresh_geometric", 1),
+    ("mln_gibbs_burn_in", 0),
+    ("mln_gibbs_samples", 1),
+    ("sample_ring", 0),
+)
+
 
 @dataclass
 class RunConfig:
@@ -61,7 +87,6 @@ class RunConfig:
     door_min_m: float = 0.6
     door_max_m: float = 1.6
     min_object_cells: int = 4
-    min_unit_area_m2: float = 1.0
     hall_area_min_m2: float = 40.0
     corridor_ratio_min: float = 3.0
     object_from_occupied: bool = True
@@ -78,56 +103,47 @@ class RunConfig:
     coverage_gate: float = 0.8
     mln_refresh_structural: int = 25
     mln_refresh_geometric: int = 200
-    mln_exact_budget: int = 24
     mln_gibbs_burn_in: int = 150
     mln_gibbs_samples: int = 600
-    mln_gibbs_chains: int = 8
     rules_file: str = ""
 
     # kernels
     kernel_weights: dict = field(default_factory=lambda: dict(DEFAULT_KERNEL_WEIGHTS))
-    delta_max: int = 5
     # smallest admissible unit side is 2*min_half_extent cells (0.8 m at the
     # default resolution); smaller boxes degenerate into wall-only slivers
     # that game the sensor model
     min_half_extent: float = 8.0
-    # blind births draw axis-aligned angles by default: indoor maps are
-    # mostly rectilinear and tilted survivors stall wall alignment
-    angle_jitter_deg: float = 0.0
-    free_angle: bool = False
-    allocate_half_min: float = 8.0
-    allocate_half_max: float = 60.0
-    add_seed_min_cells: int = 25
-    # units must enclose mapped free space (at least add_seed_min_cells
-    # cells and min_free_fraction of the footprint) and must not be mostly
-    # occupied: wall-box slivers inside thick occupied blobs otherwise score
-    # as profitable all-wall units and never die
-    min_free_fraction: float = 0.2
-    max_occupied_fraction: float = 0.45
 
     # logging
-    snapshot_every: int = 50
     sample_ring: int = 1000
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         total = sum(self.kernel_weights.get(k, 0.0) for k in KERNEL_NAMES)
-        if total <= 0 or any(self.kernel_weights.get(k, 0.0) < 0 for k in KERNEL_NAMES):
-            raise ConfigError("kernel weights must be non-negative with positive sum")
+        if not 0 < total < math.inf or any(self.kernel_weights.get(k, 0.0) < 0 for k in KERNEL_NAMES):
+            raise ConfigError("kernel weights must be finite and non-negative with positive sum")
+        for a, b in _REVERSE_PAIRS:
+            if (self.kernel_weights.get(a, 0.0) > 0) != (self.kernel_weights.get(b, 0.0) > 0):
+                raise ConfigError(f"kernel weights of {a} and {b} must both be positive or both zero")
         self.kernel_weights = {
             k: self.kernel_weights.get(k, 0.0) / total for k in KERNEL_NAMES
         }
         if not (0.0 < self.coverage_gate <= 1.0):
             raise ConfigError("coverage_gate must lie in (0, 1]")
-        if self.iterations < 0 or self.burn_in < 0:
-            raise ConfigError("iteration counts must be non-negative")
-        for name, low in (("chains", 1), ("wall_thickness", 1), ("dilate_radius", 0), ("sample_ring", 0)):
+        for name, low in _LOWER_BOUNDS:
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")
-        # fail fast on invalid scoring parameters
+        if not 0 < self.door_min_m <= self.door_max_m:
+            raise ConfigError("need 0 < door_min_m <= door_max_m")
+        # fail fast on invalid thresholds and scoring parameters
         try:
+            check_thresholds(self.free_below, self.occupied_above)
+            _check_geometry_thresholds(self.hall_area_min_m2, self.corridor_ratio_min)
             self.prior_config()
             self.likelihood_config()
-        except ValueError as exc:
+        except (InvalidThresholds, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         self.sensor_tables()
 
@@ -149,32 +165,6 @@ class RunConfig:
     def door_max_cells(self, resolution: float) -> float:
         return self.door_max_m / resolution
 
-    def unexplored_max_cells(self, resolution: float) -> int:
-        return int(round(self.min_unit_area_m2 / (resolution * resolution)))
-
-
-_BOOL_KEYS = {"object_from_occupied", "prior_enabled", "free_angle"}
-_INT_KEYS = {
-    "seed",
-    "iterations",
-    "burn_in",
-    "chains",
-    "dilate_radius",
-    "min_overlap_cells",
-    "min_object_cells",
-    "mln_refresh_structural",
-    "mln_refresh_geometric",
-    "mln_exact_budget",
-    "mln_gibbs_burn_in",
-    "mln_gibbs_samples",
-    "mln_gibbs_chains",
-    "delta_max",
-    "snapshot_every",
-    "sample_ring",
-    "add_seed_min_cells",
-}
-_STR_KEYS = {"rules_file"}
-
 
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
@@ -185,9 +175,15 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+# each scalar key is parsed by its declared type (a string under
+# ``from __future__ import annotations``); the table-valued fields have
+# their own key syntax
+_PARSE_BY_TYPE = {"bool": _parse_bool, "int": int, "float": float, "str": str}
+_SCALAR_PARSERS = {f.name: _PARSE_BY_TYPE[f.type] for f in fields(RunConfig) if f.type in _PARSE_BY_TYPE}
+
+
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     cfg = base if base is not None else RunConfig()
-    simple = {f.name for f in fields(RunConfig)} - {"kernel_weights", "sensor_noncorridor", "sensor_corridor"}
     updates = {}
     kernel_weights = dict(cfg.kernel_weights)
     sensor = {
@@ -215,15 +211,8 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
                 if len(vals) != 4:
                     raise ConfigError(f"sensor rows need 4 values, got {len(vals)}")
                 sensor[table][_SENSOR_ROWS.index(row)] = vals
-            elif key in simple:
-                if key in _BOOL_KEYS:
-                    updates[key] = _parse_bool(value)
-                elif key in _INT_KEYS:
-                    updates[key] = int(value)
-                elif key in _STR_KEYS:
-                    updates[key] = value
-                else:
-                    updates[key] = float(value)
+            elif key in _SCALAR_PARSERS:
+                updates[key] = _SCALAR_PARSERS[key](value)
             else:
                 raise ConfigError(f"unknown config key {key!r}")
         except ValueError as exc:

@@ -371,6 +371,3 @@ def demo_spec(noise: float = 0.0, seed_objects: bool = True) -> SyntheticSpec:
     if noise > 0:
         spec.flip_prob = {"occupied": noise, "unknown": noise, "free": noise}
     return spec
-
-
-DEMO_HALL_AREA_MIN_M2 = 25.0

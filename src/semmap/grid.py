@@ -168,16 +168,20 @@ def save_classified_pgm(cgrid: ClassifiedGrid, path) -> None:
         fh.write(img.tobytes())
 
 
+def check_thresholds(free_below: float, occupied_above: float):
+    if not (0.0 <= free_below <= occupied_above <= 1.0):
+        raise InvalidThresholds(
+            f"need 0 <= free_below <= occupied_above <= 1, got {free_below}, {occupied_above}"
+        )
+
+
 def classify(
     grid: OccupancyGrid,
     free_below: float = DEFAULT_FREE_BELOW,
     occupied_above: float = DEFAULT_OCCUPIED_ABOVE,
 ) -> ClassifiedGrid:
     """Discretize occupancy values into {occupied, unknown, free}."""
-    if not (0.0 <= free_below <= occupied_above <= 1.0):
-        raise InvalidThresholds(
-            f"need 0 <= free_below <= occupied_above <= 1, got {free_below}, {occupied_above}"
-        )
+    check_thresholds(free_below, occupied_above)
     states = np.full(grid.values.shape, CellState.UNKNOWN, dtype=np.int8)
     states[grid.values < free_below] = CellState.FREE
     states[grid.values > occupied_above] = CellState.OCCUPIED

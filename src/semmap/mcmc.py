@@ -87,6 +87,23 @@ STRUCTURAL_KINDS = {
 
 MIN_LOG_DENSITY = math.log(1e-12)
 
+# largest single-wall move of SHRINK, DILATE and INTERCHANGE, in cells
+DELTA_MAX = 5
+# half-extent range of blind ALLOCATE births, in cells; births draw
+# axis-aligned angles: indoor maps are mostly rectilinear and tilted
+# survivors stall wall alignment
+ALLOCATE_HALF_MIN = 8.0
+ALLOCATE_HALF_MAX = 60.0
+# units must enclose mapped free space (at least ADD_SEED_MIN_CELLS cells
+# and MIN_FREE_FRACTION of the footprint) and must not be mostly occupied:
+# wall-box slivers inside thick occupied blobs otherwise score as profitable
+# all-wall units and never die
+ADD_SEED_MIN_CELLS = 25
+MIN_FREE_FRACTION = 0.2
+MAX_OCCUPIED_FRACTION = 0.45
+# the sample log records the unit geometry every SNAPSHOT_EVERY accepted moves
+SNAPSHOT_EVERY = 50
+
 
 def _integral_image(mask: np.ndarray) -> np.ndarray:
     pad = np.zeros((mask.shape[0] + 1, mask.shape[1] + 1), dtype=np.int64)
@@ -505,12 +522,12 @@ class Chain:
         # sliver units fully inside thick occupied blobs score as all-wall
         # boxes and never die
         free_cells = self._cells_inside(unit, self._free_integral, self._free)
-        if free_cells < self.cfg.add_seed_min_cells:
+        if free_cells < ADD_SEED_MIN_CELLS:
             return False
-        if free_cells < self.cfg.min_free_fraction * unit.area:
+        if free_cells < MIN_FREE_FRACTION * unit.area:
             return False
         occ = self._cells_inside(unit, self._occupied_integral, None)
-        return occ <= self.cfg.max_occupied_fraction * unit.area
+        return occ <= MAX_OCCUPIED_FRACTION * unit.area
 
     def _cells_inside(self, unit: Unit, integral, mask) -> int:
         # axis-aligned fast path via the integral image
@@ -550,7 +567,7 @@ class Chain:
         seeds = [
             labels.bboxes[i]
             for i in range(labels.count)
-            if labels.sizes[i] >= self.cfg.add_seed_min_cells
+            if labels.sizes[i] >= ADD_SEED_MIN_CELLS
         ]
         self._seed_cache = (self.accepted_total, seeds)
         return seeds
@@ -611,17 +628,12 @@ class Chain:
             return self._finish(kind, params, (victim,), (), q_rev - q_fwd)
 
         if kind == KernelKind.ALLOCATE:
-            hmin, hmax = cfg.allocate_half_min, min(cfg.allocate_half_max, max(w, h) / 2.0)
+            hmin, hmax = ALLOCATE_HALF_MIN, min(ALLOCATE_HALF_MAX, max(w, h) / 2.0)
             ex0 = float(rng.integers(0, max(w - 1, 1)))
             ey0 = float(rng.integers(0, max(h - 1, 1)))
             width = 2.0 * float(rng.integers(int(hmin), int(hmax) + 1))
             height = 2.0 * float(rng.integers(int(hmin), int(hmax) + 1))
-            angle = 0.0 if int(rng.integers(2)) == 0 else math.pi / 2.0
-            if cfg.free_angle:
-                angle = rng.uniform(0.0, math.pi)
-            elif cfg.angle_jitter_deg > 0:
-                angle += rng.uniform(-1.0, 1.0) * math.radians(cfg.angle_jitter_deg)
-            angle = qcoord(angle % math.pi)
+            angle = 0.0 if int(rng.integers(2)) == 0 else qcoord(math.pi / 2.0)
             unit = Unit(
                 self.next_uid,
                 qcoord(ex0 + width / 2.0),
@@ -643,7 +655,7 @@ class Chain:
         if kind in (KernelKind.SHRINK, KernelKind.DILATE):
             target = units[int(rng.integers(n))]
             wall = int(rng.integers(4))
-            delta = float(rng.integers(1, cfg.delta_max + 1))
+            delta = float(rng.integers(1, DELTA_MAX + 1))
             signed = delta if kind == KernelKind.DILATE else -delta
             try:
                 moved = move_wall(target, wall, signed)
@@ -714,7 +726,7 @@ class Chain:
                 raise NotApplicable("no aligned equal-section pair")
             i, j, wall_a, wall_b = cands[int(rng.integers(len(cands)))]
             a, b = units[i], units[j]
-            delta = float(rng.integers(1, cfg.delta_max + 1))
+            delta = float(rng.integers(1, DELTA_MAX + 1))
             if int(rng.integers(2)) == 0:
                 delta = -delta
             try:
@@ -735,8 +747,8 @@ class Chain:
 
     def _allocate_log_density(self) -> float:
         w, h = self.shape[1], self.shape[0]
-        hmin = self.cfg.allocate_half_min
-        hmax = min(self.cfg.allocate_half_max, max(w, h) / 2.0)
+        hmin = ALLOCATE_HALF_MIN
+        hmax = min(ALLOCATE_HALF_MAX, max(w, h) / 2.0)
         span = max(int(hmax) - int(hmin) + 1, 1)
         return -(
             math.log(max(w - 1, 1))
@@ -849,7 +861,7 @@ class Chain:
             "log_likelihood": self.log_lik,
             "log_posterior": self.log_prior_val + self.log_lik,
         }
-        if accepted and self._accept_count_for_snapshot >= self.cfg.snapshot_every:
+        if accepted and self._accept_count_for_snapshot >= SNAPSHOT_EVERY:
             self._accept_count_for_snapshot = 0
             entry["units"] = [
                 [u.uid, u.cx, u.cy, u.hu, u.hv, u.angle] for u in self.units
@@ -910,7 +922,6 @@ class Semantics:
 
     relations: np.ndarray | None  # None without units
     doors: tuple
-    geometry: tuple  # GeometryClass per unit
     evidence_key: str | None  # None unless the knowledge gate is open
     types: tuple | None  # None: the evidence matched known_key, no inference ran
     sale: dict | None  # (uid_lo, uid_hi) -> SaLe marginal; None with types
@@ -919,8 +930,8 @@ class Semantics:
 def derive_semantics(
     units, input_grid: ClassifiedGrid, cfg: RunConfig, rules, knowledge_active, seed, known_key=None
 ) -> Semantics:
-    """Relations, doors and geometry classes of units, in their given order,
-    from one pair-geometry pass; then their types and SaLe marginals.
+    """Relations and doors of units, in their given order, from one
+    pair-geometry pass; then their types and SaLe marginals.
 
     With the knowledge gate open the types come from MLN inference, which
     runs unless the evidence key equals known_key; ``seed()`` gives its seed
@@ -928,7 +939,7 @@ def derive_semantics(
     the geometry classes and SaLe is empty.
     """
     if not units:
-        return Semantics(None, (), (), None, (), {})
+        return Semantics(None, (), None, (), {})
     resolution = input_grid.resolution
     shape = input_grid.states.shape
     overlaps = pair_overlaps(units, shape, cfg.dilate_radius)
@@ -958,19 +969,17 @@ def derive_semantics(
         )
     )
     if not knowledge_active:
-        return Semantics(rel, doors, geom, None, tuple(geometry_to_type(g) for g in geom), {})
+        return Semantics(rel, doors, None, tuple(geometry_to_type(g) for g in geom), {})
     evidence = mln_mod.build_evidence(units, rel, doors, geom)
     key = mln_mod.evidence_hash(evidence, rules)
     if key == known_key:
-        return Semantics(rel, doors, geom, key, None, None)
+        return Semantics(rel, doors, key, None, None)
     network = mln_mod.ground(rules, evidence.constants, evidence)
     marginals = mln_mod.infer_marginals(
         network,
         seed=seed(),
-        budget=cfg.mln_exact_budget,
         burn_in=cfg.mln_gibbs_burn_in,
         samples=cfg.mln_gibbs_samples,
-        n_chains=cfg.mln_gibbs_chains,
     )
     consts = evidence.constants
     type_of = mln_mod.assign_types(marginals, consts)
@@ -983,7 +992,12 @@ def derive_semantics(
                 + mln_mod.sale_probability(marginals, consts[q], consts[p])
             )
     types = tuple(type_of[consts[i]] for i in range(len(units)))
-    return Semantics(rel, doors, geom, key, types, sale)
+    return Semantics(rel, doors, key, types, sale)
+
+
+# an enclosed pocket counts as unexplored only up to this area; a larger one
+# would hold a unit
+MIN_UNIT_AREA_M2 = 1.0
 
 
 def derive_world(units, input_grid: ClassifiedGrid, cfg: RunConfig, knowledge_active=True, rules=None, seed=0):
@@ -1005,9 +1019,8 @@ def derive_world(units, input_grid: ClassifiedGrid, cfg: RunConfig, knowledge_ac
         object_from_occupied=cfg.object_from_occupied,
     )
     objects, cleaned = detect_objects(state_map, min_object_cells=cfg.min_object_cells)
-    unexplored = detect_unexplored(
-        input_grid, cleaned, cfg.unexplored_max_cells(resolution), units=units
-    )
+    max_cells = int(round(MIN_UNIT_AREA_M2 / (resolution * resolution)))
+    unexplored = detect_unexplored(input_grid, cleaned, max_cells, units=units)
     world = World(
         units=units,
         types=sem.types,

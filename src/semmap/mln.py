@@ -365,12 +365,20 @@ def infer_exact(network: GroundNetwork, queries=None, budget: int = EXACT_ATOM_B
     shared clauses) and each component is enumerated with vectorized clause
     evaluation; worlds violating a hard clause carry zero weight.
     """
-    if network.hard_contradiction:
-        raise AllWorldsExcluded("hard rules contradicted by evidence")
+    marginals = _forced_marginals(network)
     free = network.free_atoms()
     if len(free) > budget:
         raise TooLarge(f"{len(free)} free atoms exceed the budget of {budget}")
+    for comp_atoms, comp_clauses in _components(network, free):
+        marginals.update(_enumerate_component(network, comp_atoms, comp_clauses))
+    return _select(marginals, queries)
 
+
+def _forced_marginals(network: GroundNetwork):
+    """Marginals (0 or 1) of the atoms that evidence and hard unit clauses
+    fix; AllWorldsExcluded when the hard rules contradict the evidence."""
+    if network.hard_contradiction:
+        raise AllWorldsExcluded("hard rules contradicted by evidence")
     marginals = {}
     for i, (pred, args) in enumerate(network.atoms):
         st = network.status[i]
@@ -378,19 +386,6 @@ def infer_exact(network: GroundNetwork, queries=None, budget: int = EXACT_ATOM_B
             marginals[(pred, args)] = 1.0
         elif st == STATUS_FALSE:
             marginals[(pred, args)] = 0.0
-
-    comp_of = _components(network, free)
-    for comp_atoms, comp_clauses in comp_of:
-        comp_marg = _enumerate_component(network, comp_atoms, comp_clauses)
-        marginals.update(comp_marg)
-
-    if queries is not None:
-        out = {}
-        for key in queries:
-            if key not in marginals:
-                raise NotQueried(f"{key} has no marginal")
-            out[key] = marginals[key]
-        return out
     return marginals
 
 
@@ -474,16 +469,8 @@ def infer_gibbs(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if network.hard_contradiction:
-        raise AllWorldsExcluded("hard rules contradicted by evidence")
+    marginals = _forced_marginals(network)
     free = network.free_atoms()
-    marginals = {}
-    for i, (pred, args) in enumerate(network.atoms):
-        st = network.status[i]
-        if st == STATUS_TRUE:
-            marginals[(pred, args)] = 1.0
-        elif st == STATUS_FALSE:
-            marginals[(pred, args)] = 0.0
     if not free:
         return _select(marginals, queries)
 

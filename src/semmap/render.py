@@ -17,6 +17,7 @@ from .world import (
     detect_objects,
     rasterize,
     unit_window,
+    _segment_mask,
     _wall_band_in_window,
 )
 
@@ -99,19 +100,7 @@ def _draw_segment(rgb: np.ndarray, p0, p1, color, halfwidth: float = 1.0):
     x1, y1 = min(w, x1), min(h, y1)
     if x0 >= x1 or y0 >= y1:
         return
-    xs = np.arange(x0, x1) + 0.5
-    ys = np.arange(y0, y1) + 0.5
-    dx, dy = p1[0] - p0[0], p1[1] - p0[1]
-    length = math.hypot(dx, dy)
-    if length <= 0:
-        return
-    dx, dy = dx / length, dy / length
-    rx = xs[None, :] - p0[0]
-    ry = ys[:, None] - p0[1]
-    t = rx * dx + ry * dy
-    perp = np.abs(-rx * dy + ry * dx)
-    mask = (t >= 0) & (t <= length) & (perp <= halfwidth)
-    rgb[y0:y1, x0:x1][mask] = color
+    rgb[y0:y1, x0:x1][_segment_mask(p0, p1, halfwidth, (x0, y0, x1, y1))] = color
 
 
 def render_world(

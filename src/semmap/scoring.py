@@ -17,7 +17,6 @@ from .grid import ClassifiedGrid
 from .world import (
     UnitType,
     World,
-    WorldCell,
     WorldStateMap,
     connecting_wall_lengths,
     rasterize,
@@ -77,8 +76,8 @@ class SensorModelTable:
     def _normalize(t: np.ndarray) -> np.ndarray:
         if t.shape != (3, 4):
             raise ValueError(f"sensor table must be 3x4, got {t.shape}")
-        if np.any(t <= 0.0):
-            raise ValueError("sensor table entries must be > 0")
+        if not np.all((t > 0.0) & (t < np.inf)):
+            raise ValueError("sensor table entries must be finite and > 0")
         return t / t.sum(axis=0, keepdims=True)
 
     def modal_input_class(self, state: int, corridor: bool) -> int:
@@ -283,9 +282,7 @@ class LikelihoodField:
         self.object_from_occupied = object_from_occupied
         h, w = self.shape
         self.terms = np.zeros((h, w), dtype=np.float64)
-        self.states = np.full((h, w), WorldCell.UNKNOWN_OUT, dtype=np.int8)
         self.membership = np.zeros((h, w), dtype=np.int16)
-        self.owner = np.full((h, w), -1, dtype=np.int32)
         self.total = 0.0
 
     def reset(self, world: World):
@@ -299,7 +296,7 @@ class LikelihoodField:
             world.doors,
             self.object_from_occupied,
         )
-        self.states, self.membership, self.owner = states, membership, owner
+        self.membership = membership
         self.terms = _terms(
             self.inp,
             states,
@@ -344,10 +341,8 @@ class LikelihoodField:
         return delta, patches
 
     def commit(self, delta: float, patches):
-        for (x0, y0, x1, y1), states, membership, owner, new_terms in patches:
-            self.states[y0:y1, x0:x1] = states
+        for (x0, y0, x1, y1), _, membership, _, new_terms in patches:
             self.membership[y0:y1, x0:x1] = membership
-            self.owner[y0:y1, x0:x1] = owner
             self.terms[y0:y1, x0:x1] = new_terms
         self.total += delta
 

@@ -201,6 +201,11 @@ class World:
         return len(self.units)
 
 
+def _check_geometry_thresholds(hall_area_min: float, corridor_ratio_min: float):
+    if not (hall_area_min > 0 and corridor_ratio_min > 0):
+        raise ValueError("classifier thresholds must be positive")
+
+
 def classify_geometry(
     unit: Unit,
     resolution: float,
@@ -213,8 +218,7 @@ def classify_geometry(
     long/short ratio >= corridor_ratio_min makes them corridor-like, else
     room-like.
     """
-    if hall_area_min <= 0 or corridor_ratio_min <= 0:
-        raise ValueError("classifier thresholds must be positive")
+    _check_geometry_thresholds(hall_area_min, corridor_ratio_min)
     area_m2 = unit.area * resolution * resolution
     if area_m2 >= hall_area_min:
         return GeometryClass.HALL_LIKE
@@ -284,12 +288,14 @@ def _wall_band_in_window(unit: Unit, window, thickness: float):
     return inside, band
 
 
-def _door_carve_in_window(door: Door, window):
+def _segment_mask(p0, p1, halfwidth: float, window):
+    """Cells of the window whose centers lie within halfwidth of the
+    segment p0-p1 (measured perpendicular to it, between its end points)."""
     x0, y0, x1, y1 = window
     xs = np.arange(x0, x1, dtype=np.float64) + 0.5
     ys = np.arange(y0, y1, dtype=np.float64) + 0.5
-    px, py = door.p0
-    qx, qy = door.p1
+    px, py = p0
+    qx, qy = p1
     dx, dy = qx - px, qy - py
     length = math.hypot(dx, dy)
     if length <= 0:
@@ -299,7 +305,7 @@ def _door_carve_in_window(door: Door, window):
     ry = ys[:, None] - py
     t = rx * dx + ry * dy
     perp = np.abs(-rx * dy + ry * dx)
-    return (t >= 0) & (t <= length) & (perp <= door.carve_halfwidth)
+    return (t >= 0) & (t <= length) & (perp <= halfwidth)
 
 
 def _cell_span(center: float, extent: float, lo: int, hi: int):
@@ -384,7 +390,7 @@ def rasterize_window(
         by1 = max(d.p0[1], d.p1[1]) + d.carve_halfwidth
         if bx1 < x0 or bx0 > x1 or by1 < y0 or by0 > y1:
             continue
-        carve |= _door_carve_in_window(d, window)
+        carve |= _segment_mask(d.p0, d.p1, d.carve_halfwidth, window)
 
     inside_any = membership > 0
     inp = input_states[y0:y1, x0:x1]

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semmap.cli import main
+from semmap.config import KERNEL_NAMES, RunConfig
 from semmap.world import world_from_dict
 
 
@@ -85,14 +91,62 @@ def test_infer_missing_map_exit_1(tmp_path):
         "chains = 0",
         "dilate_radius = -1",
         "sample_ring = -1",
+        pytest.param("hall_area_min_m2 = 0", id="hall_area_min_m2_zero"),
+        pytest.param("corridor_ratio_min = -1", id="corridor_ratio_min_negative"),
+        pytest.param("free_below = 0.9", id="free_below_above_occupied"),
+        pytest.param("free_below = nan", id="free_below_nan"),
+        pytest.param("seed = -1", id="seed_negative"),
+        pytest.param("wall_thickness = inf", id="wall_thickness_inf"),
+        pytest.param("min_half_extent = nan", id="min_half_extent_nan"),
+        pytest.param("kernel_weight.add = nan", id="kernel_weight_nan"),
+        pytest.param("kernel_weight.add = 0", id="kernel_weight_without_reverse"),
+        pytest.param("sigma_len = nan", id="sigma_len_nan"),
+        pytest.param("sensor.corridor.free = nan 1 1 1", id="sensor_nan"),
+        pytest.param("mln_gibbs_samples = 0", id="mln_gibbs_samples_zero"),
+        pytest.param("door_min_m = 0", id="door_min_m_zero"),
     ],
     ids=lambda line: line.split(" ", 1)[0],
 )
-def test_infer_bad_config_exit_2(tmp_path, demo_pgm, line):
+def test_infer_bad_config_exit_2(tmp_path, demo_pgm, capsys, line):
     pgm, _ = demo_pgm
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
+    capsys.readouterr()
     assert main(["infer", pgm, "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+_FUZZ_KEYS = sorted(
+    [f.name for f in fields(RunConfig) if f.type in ("int", "float")]
+    + [f"kernel_weight.{k}" for k in KERNEL_NAMES]
+    + [f"sensor.{t}.{r}" for t in ("noncorridor", "corridor") for r in ("occupied", "unknown", "free")]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(
+    st.sampled_from(_FUZZ_KEYS),
+    st.sampled_from(["-1", "0", "0.5", "3", "nan", "inf"]),
+    min_size=1,
+    max_size=4,
+))
+def test_infer_config_fuzz_documented_exit_codes(tmp_path_factory, demo_pgm, entries):
+    pgm, _ = demo_pgm
+    work = tmp_path_factory.mktemp("fuzz")
+    lines = [
+        f"{key} = {' '.join([value] * 4) if key.startswith('sensor.') else value}"
+        for key, value in entries.items()
+    ]
+    (work / "fuzz.cfg").write_text("\n".join(lines) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main([
+            "infer", pgm, "--out", str(work / "o"), "--config", str(work / "fuzz.cfg"),
+            "--iterations", "20",
+        ])
+    assert rc in (0, 2, 3), lines
+    assert len(err.getvalue().strip().splitlines()) <= 1, lines
 
 
 def test_infer_empty_map_exit_3(tmp_path):
@@ -217,6 +271,20 @@ def test_mln_gibbs_close_to_exact(tmp_path, capsys):
     gibbs = json.loads(capsys.readouterr().out)
     for key in exact:
         assert abs(exact[key] - gibbs[key]) < 0.02
+
+
+def test_mln_falls_back_to_gibbs_above_exact_budget(tmp_path, capsys):
+    # five rooms adjacent to one corridor: 27 free atoms, above the
+    # exact-inference budget of 24
+    lines = [f"RoLi(u{i})\nAdj(u{i},c)\nAdj(c,u{i})" for i in range(5)]
+    ev = tmp_path / "e.db"
+    ev.write_text("\n".join(lines) + "\nCoLi(c)\n")
+    rc = main(["mln", "default", str(ev), "Room", "--samples", "200", "--burn-in", "50"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {f"Room(u{i})" for i in range(5)} | {"Room(c)"}
+    assert all(0.0 <= p <= 1.0 for p in out.values())
+    assert main(["mln", "default", str(ev), "Room", "--samples", "0"]) == 2
 
 
 def test_mln_contradictory_evidence_exit_3(tmp_path):

@@ -1,9 +1,12 @@
 """Heavier randomized property checks pinned by the module contracts."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from semmap.config import RunConfig, load_config
+from semmap.config import RunConfig, load_config, parse_config_text
+from semmap.errors import ConfigError
 from semmap.mln import hard_rules
 from semmap.world import Unit, detect_relations, world_from_dict
 
@@ -58,6 +61,37 @@ def test_config_rejects_invalid_values(tmp_path):
     bad.write_text("kernel_weight.add = -1\n")
     with pytest.raises(ConfigError):
         load_config(bad)
+
+
+def test_config_fixed_search_constants_are_unknown_keys():
+    for name in (
+        "delta_max",
+        "allocate_half_min",
+        "allocate_half_max",
+        "add_seed_min_cells",
+        "min_free_fraction",
+        "max_occupied_fraction",
+        "snapshot_every",
+        "min_unit_area_m2",
+        "mln_exact_budget",
+        "mln_gibbs_chains",
+        "free_angle",
+        "angle_jitter_deg",
+    ):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            parse_config_text(f"{name} = 1\n")
+
+
+def test_config_parses_each_key_as_its_declared_type():
+    default = RunConfig()
+    scalar = [f.name for f in fields(RunConfig) if f.type in ("bool", "int", "float", "str")]
+    text = "".join(f"{name} = {getattr(default, name)}\n" for name in scalar)
+    cfg = parse_config_text(text)
+    for name in scalar:
+        assert type(getattr(cfg, name)) is type(getattr(default, name)), name
+        assert getattr(cfg, name) == getattr(default, name), name
+    with pytest.raises(ConfigError):
+        parse_config_text("min_overlap_cells = 4.5\n")
 
 
 def test_config_normalizes_kernel_weights():
