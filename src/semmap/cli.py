@@ -1,7 +1,8 @@
 """Command-line surface: ``semmap infer | eval | mln | synth``.
 
-Exit codes: 0 success; 1 malformed input; 2 config/parse error; 3 empty map
-(infer) or no feasible MLN state (infer, mln).
+Exit codes: 0 success; 1 malformed input; 2 config/parse error or an output
+path that cannot be written (infer, synth); 3 empty map (infer) or no
+feasible MLN state (infer, mln).
 """
 
 from __future__ import annotations
@@ -89,7 +90,11 @@ def cmd_infer(args) -> int:
         print(f"cannot load map: {exc}", file=sys.stderr)
         return 1
     cgrid = classify(grid, cfg.free_below, cfg.occupied_above)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
 
     results = []
     try:
@@ -298,10 +303,14 @@ def cmd_synth(args) -> int:
         return 2
     pixels = np.round((1.0 - grid.values) * 255.0).astype(np.uint8)
     pgm_path = args.out + ".pgm"
-    with open(pgm_path, "wb") as fh:
-        fh.write(f"P5\n{grid.width} {grid.height}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
-    _dump_json(world_to_dict(truth), args.out + ".truth.json")
+    try:
+        with open(pgm_path, "wb") as fh:
+            fh.write(f"P5\n{grid.width} {grid.height}\n255\n".encode("ascii"))
+            fh.write(pixels.tobytes())
+        _dump_json(world_to_dict(truth), args.out + ".truth.json")
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {pgm_path} and {args.out}.truth.json")
     return 0
 

@@ -103,6 +103,9 @@ MIN_FREE_FRACTION = 0.2
 MAX_OCCUPIED_FRACTION = 0.45
 # the sample log records the unit geometry every SNAPSHOT_EVERY accepted moves
 SNAPSHOT_EVERY = 50
+# the prior's wall-length differences are kept per unit pair geometry, the
+# pairs of rejected proposals included; the cache is emptied when it fills
+WALL_DIFF_CACHE_SIZE = 1024
 
 
 def _integral_image(mask: np.ndarray) -> np.ndarray:
@@ -470,13 +473,12 @@ class Chain:
     def _rescore_full(self):
         self.scorer.reset(self._world())
         self.log_lik = self.scorer.total
-        self._wall_diff_cache.clear()
         self.log_prior_val = self._prior_value(self.units)
 
     def _world(self, units=None) -> World:
         units = self.units if units is None else units
         types = tuple(
-            self.types.get(u.uid, geometry_to_type(self._geometry_class(u)))
+            t if (t := self.types.get(u.uid)) is not None else geometry_to_type(self._geometry_class(u))
             for u in units
         )
         return World(units=units, types=types, doors=self.doors, resolution=self.resolution)
@@ -484,16 +486,18 @@ class Chain:
     # -- prior ---------------------------------------------------------------
 
     def _wall_diff(self, a: Unit, b: Unit):
-        key = (a.uid, b.uid)
-        sig = (a.cx, a.cy, a.hu, a.hv, a.angle, b.cx, b.cy, b.hu, b.hv, b.angle)
-        hit = self._wall_diff_cache.get(key)
-        if hit is not None and hit[0] == sig:
-            return hit[1]
+        """Connecting-wall length difference of a unit pair, None when the
+        pair shares no wall; it depends on the two geometries only."""
+        cache = self._wall_diff_cache
+        key = (a, b)
+        if key in cache:
+            return cache[key]
         lengths = wall_length_difference(
             a, b, self.shape, self.cfg.dilate_radius, self.cfg.min_overlap_cells
         )
-        d = None if lengths is None else lengths[2]
-        self._wall_diff_cache[key] = (sig, d)
+        if len(cache) >= WALL_DIFF_CACHE_SIZE:
+            cache.clear()
+        cache[key] = d = None if lengths is None else lengths[2]
         return d
 
     def _prior_value(self, units) -> float:

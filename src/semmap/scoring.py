@@ -147,28 +147,46 @@ def _pair_key(a: int, b: int):
     return (a, b) if a <= b else (b, a)
 
 
-def _corridor_uids(world: World):
-    return {
-        world.units[i].uid
-        for i in range(len(world.types))
-        if world.types[i] == UnitType.CORRIDOR
-    }
+def _corridor_offsets(world: World):
+    """Term-table offset by owner uid: 12 for a unit typed corridor, else 0;
+    the last entry, which owner -1 reads, is 0. None without corridors."""
+    corridor = [u.uid for u, t in zip(world.units, world.types) if t == UnitType.CORRIDOR]
+    if not corridor:
+        return None
+    offsets = np.zeros(max(u.uid for u in world.units) + 2, dtype=np.int8)
+    offsets[corridor] = 12
+    return offsets
 
 
-def _terms(inp, states, membership, owner, corridor_uids, tables, log_psi):
-    gamma = np.maximum(membership.astype(np.float64) - 1.0, 0.0)
-    vals = tables.log_noncorridor[inp, states]
-    if corridor_uids:
-        top = int(owner.max())
-        if top >= 0:
-            lut = np.zeros(top + 2, dtype=bool)
-            for uid in corridor_uids:
-                if 0 <= uid <= top:
-                    lut[uid] = True
-            corr_mask = lut[np.where(owner >= 0, owner, top + 1)]
-            if corr_mask.any():
-                vals = np.where(corr_mask, tables.log_corridor[inp, states], vals)
-    return vals + gamma * log_psi
+def _term_table(tables: SensorModelTable, n: int, log_psi: float) -> np.ndarray:
+    """Per-cell log term by membership*24 + corridor*12 + input class*4 +
+    world state, for memberships 0..n: the sensor table entry plus the
+    overlap penalty max(m - 1, 0) * log(psi)."""
+    log_terms = np.concatenate([tables.log_noncorridor.ravel(), tables.log_corridor.ravel()])
+    penalty = np.maximum(np.arange(n + 1, dtype=np.float64) - 1.0, 0.0) * log_psi
+    return (log_terms[None, :] + penalty[:, None]).ravel()
+
+
+def _terms(inp4, states, membership, owner, offsets, table):
+    """Per-cell log terms gathered from a _term_table; ``inp4`` holds input
+    class * 4 and ``offsets`` is the _corridor_offsets of the world."""
+    idx = membership * np.int16(24)
+    if offsets is not None:
+        idx += np.take(offsets, owner)
+    idx += inp4
+    idx += states
+    return np.take(table, idx)
+
+
+def _world_terms(inp, world: World, states: WorldStateMap, tables, log_psi):
+    return _terms(
+        inp * np.int8(4),
+        states.states,
+        states.membership,
+        states.owner,
+        _corridor_offsets(world),
+        _term_table(tables, world.n, log_psi),
+    )
 
 
 def log_likelihood(
@@ -183,15 +201,7 @@ def log_likelihood(
     when the cell's owning unit is typed corridor."""
     if input_grid.states.shape != states.states.shape:
         raise DimensionMismatch("input grid and world state map shapes differ")
-    terms = _terms(
-        input_grid.states,
-        states.states,
-        states.membership,
-        states.owner,
-        _corridor_uids(world),
-        tables,
-        math.log(cfg.psi),
-    )
+    terms = _world_terms(input_grid.states, world, states, tables, math.log(cfg.psi))
     return float(terms.sum())
 
 
@@ -275,15 +285,23 @@ class LikelihoodField:
     ):
         self.input_grid = input_grid
         self.inp = input_grid.states
+        self.inp4 = self.inp * np.int8(4)
         self.shape = self.inp.shape
         self.tables = tables
         self.log_psi = math.log(cfg.psi)
+        self._table = _term_table(tables, 1, self.log_psi)
         self.wall_thickness = wall_thickness
         self.object_from_occupied = object_from_occupied
         h, w = self.shape
         self.terms = np.zeros((h, w), dtype=np.float64)
         self.membership = np.zeros((h, w), dtype=np.int16)
         self.total = 0.0
+
+    def _table_for(self, world: World) -> np.ndarray:
+        # membership never exceeds the number of units
+        if len(self._table) <= world.n * 24:
+            self._table = _term_table(self.tables, world.n, self.log_psi)
+        return self._table
 
     def reset(self, world: World):
         """Recompute every cell for the given world."""
@@ -298,13 +316,12 @@ class LikelihoodField:
         )
         self.membership = membership
         self.terms = _terms(
-            self.inp,
+            self.inp4,
             states,
             membership,
             owner,
-            _corridor_uids(world),
-            self.tables,
-            self.log_psi,
+            _corridor_offsets(world),
+            self._table_for(world),
         )
         self.total = float(self.terms.sum())
 
@@ -312,7 +329,8 @@ class LikelihoodField:
         """Evaluate the likelihood delta of rescoring ``rects`` for ``world``
         without committing. Returns (delta, patches) where patches feed
         commit()."""
-        corridor_uids = _corridor_uids(world)
+        offsets = _corridor_offsets(world)
+        table = self._table_for(world)
         patches = []
         delta = 0.0
         for rect in _merge_rects(rects, self.shape):
@@ -326,13 +344,12 @@ class LikelihoodField:
                 self.object_from_occupied,
             )
             new_terms = _terms(
-                self.inp[y0:y1, x0:x1],
+                self.inp4[y0:y1, x0:x1],
                 states,
                 membership,
                 owner,
-                corridor_uids,
-                self.tables,
-                self.log_psi,
+                offsets,
+                table,
             )
             old_sum = float(self.terms[y0:y1, x0:x1].sum())
             new_sum = float(new_terms.sum())
@@ -355,15 +372,7 @@ class LikelihoodField:
             doors=world.doors,
             object_from_occupied=self.object_from_occupied,
         )
-        terms = _terms(
-            self.inp,
-            states.states,
-            states.membership,
-            states.owner,
-            _corridor_uids(world),
-            self.tables,
-            self.log_psi,
-        )
+        terms = _world_terms(self.inp, world, states, self.tables, self.log_psi)
         return float(terms.sum())
 
 

@@ -11,7 +11,9 @@ rectangle given by center, half extents along its local axes and an angle in
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -21,6 +23,9 @@ from .errors import DimensionMismatch, NotAdjacent
 from .grid import CellState, ClassifiedGrid, connected_components, dilate
 
 QUANT = float(2**20)
+# per-unit geometry cache of the rasterizer: the current units and the few
+# of each proposal, with room to spare
+SPAN_CACHE_SIZE = 256
 
 
 def qcoord(x: float) -> float:
@@ -308,44 +313,75 @@ def _segment_mask(p0, p1, halfwidth: float, window):
     return (t >= 0) & (t <= length) & (perp <= halfwidth)
 
 
-def _cell_span(center: float, extent: float, lo: int, hi: int):
+def _cell_span(center: float, extent: float):
     """Inclusive index range of cells whose centers fall inside
-    [center-extent, center+extent], clipped to [lo, hi)."""
-    a = max(lo, math.ceil(center - extent - 0.5))
-    b = min(hi - 1, math.floor(center + extent - 0.5))
-    return a, b
+    [center-extent, center+extent]; empty when the first index exceeds the
+    last."""
+    return math.ceil(center - extent - 0.5), math.floor(center + extent - 0.5)
 
 
-def _paint_axis_aligned(unit, window, thickness, membership, wall_any, owner) -> bool:
-    """Slice-based painting for axis-aligned units; returns False when the
-    unit is rotated and needs the general path."""
+@functools.lru_cache(maxsize=SPAN_CACHE_SIZE)
+def _unit_spans(unit: Unit, thickness: float):
+    """(aabb, spans) of a unit. For an axis-aligned unit, spans holds the
+    unclipped cell ranges (ix0, ix1, iy0, iy1) of its footprint and
+    (jx0, jx1, jy0, jy1) of the interior inside its wall band, the latter
+    None when the band fills the footprint; for a rotated unit spans is
+    None and rasterization takes the general path."""
     c, s = _cos_sin(unit.angle)
     if s == 0.0 and abs(c) == 1.0:
         ex, ey = unit.hu, unit.hv
     elif c == 0.0 and abs(s) == 1.0:
         ex, ey = unit.hv, unit.hu
     else:
-        return False
+        return unit.aabb(), None
+    outer = _cell_span(unit.cx, ex) + _cell_span(unit.cy, ey)
+    inner = _cell_span(unit.cx, max(ex - thickness, 0.0)) + _cell_span(
+        unit.cy, max(ey - thickness, 0.0)
+    )
+    if inner[0] > inner[1] or inner[2] > inner[3] or ex <= thickness or ey <= thickness:
+        inner = None
+    return unit.aabb(), (outer, inner)
+
+
+def _paint_axis_aligned(uid, spans, window, membership, wall_any, owner):
+    """Slice-based painting of an axis-aligned unit, with its spans clipped
+    to the window."""
+    (ix0, ix1, iy0, iy1), inner = spans
     x0, y0, x1, y1 = window
-    ix0, ix1 = _cell_span(unit.cx, ex, x0, x1)
-    iy0, iy1 = _cell_span(unit.cy, ey, y0, y1)
-    if ix0 > ix1 or iy0 > iy1:
-        return True
-    sl = (slice(iy0 - y0, iy1 + 1 - y0), slice(ix0 - x0, ix1 + 1 - x0))
+    ix0, ix1 = max(ix0, x0) - x0, min(ix1, x1 - 1) + 1 - x0
+    iy0, iy1 = max(iy0, y0) - y0, min(iy1, y1 - 1) + 1 - y0
+    if ix0 >= ix1 or iy0 >= iy1:
+        return
+    sl = (slice(iy0, iy1), slice(ix0, ix1))
     membership[sl] += 1
-    sub = owner[sl]
-    owner[sl] = np.where(sub == -1, np.int32(unit.uid), np.minimum(sub, np.int32(unit.uid)))
-    # band strips: inside minus the inner rectangle
-    jx0, jx1 = _cell_span(unit.cx, max(ex - thickness, 0.0), x0, x1)
-    jy0, jy1 = _cell_span(unit.cy, max(ey - thickness, 0.0), y0, y1)
-    if jx0 > jx1 or jy0 > jy1 or ex <= thickness or ey <= thickness:
+    owner[sl] = uid
+    if inner is not None:
+        jx0, jx1, jy0, jy1 = inner
+        jx0, jx1 = max(jx0, x0) - x0, min(jx1, x1 - 1) + 1 - x0
+        jy0, jy1 = max(jy0, y0) - y0, min(jy1, y1 - 1) + 1 - y0
+    if inner is None or jx0 >= jx1 or jy0 >= jy1:
         wall_any[sl] = True
-        return True
-    wall_any[iy0 - y0 : jy0 - y0, ix0 - x0 : ix1 + 1 - x0] = True
-    wall_any[jy1 + 1 - y0 : iy1 + 1 - y0, ix0 - x0 : ix1 + 1 - x0] = True
-    wall_any[iy0 - y0 : iy1 + 1 - y0, ix0 - x0 : jx0 - x0] = True
-    wall_any[iy0 - y0 : iy1 + 1 - y0, jx1 + 1 - x0 : ix1 + 1 - x0] = True
-    return True
+        return
+    # band strips: inside minus the inner rectangle
+    wall_any[iy0:jy0, ix0:ix1] = True
+    wall_any[jy1:iy1, ix0:ix1] = True
+    wall_any[iy0:iy1, ix0:jx0] = True
+    wall_any[iy0:iy1, jx1:ix1] = True
+
+
+_uid = operator.attrgetter("uid")
+
+
+def _state_table(object_from_occupied: bool) -> np.ndarray:
+    """World state by region * 3 + input class, where region is 0 outside
+    every unit, 1 inside and 2 on a wall band no door carves."""
+    inside = [WorldCell.OBJECT, WorldCell.OBJECT, WorldCell.FREE_IN]
+    if not object_from_occupied:
+        inside[CellState.OCCUPIED] = WorldCell.FREE_IN
+    return np.array([WorldCell.UNKNOWN_OUT] * 3 + inside + [WorldCell.WALL] * 3, dtype=np.int8)
+
+
+_STATE_TABLES = {flag: _state_table(flag) for flag in (False, True)}
 
 
 def rasterize_window(
@@ -369,20 +405,19 @@ def rasterize_window(
     membership = np.zeros((h, w), dtype=np.int16)
     owner = np.full((h, w), -1, dtype=np.int32)
     wall_any = np.zeros((h, w), dtype=bool)
-    for u in units:
-        ax0, ay0, ax1, ay1 = u.aabb()
+    # in descending uid order the last unit to paint a cell owns it
+    for u in sorted(units, key=_uid, reverse=True):
+        (ax0, ay0, ax1, ay1), spans = _unit_spans(u, wall_thickness)
         if ax1 < x0 or ax0 > x1 or ay1 < y0 or ay0 > y1:
             continue
-        if _paint_axis_aligned(u, window, wall_thickness, membership, wall_any, owner):
+        if spans is not None:
+            _paint_axis_aligned(u.uid, spans, window, membership, wall_any, owner)
             continue
         inside, band = _wall_band_in_window(u, window, wall_thickness)
         membership += inside
         wall_any |= band
-        cur = np.where(inside, np.int32(u.uid), np.int32(2**31 - 1))
-        take = inside & ((owner == -1) | (cur < owner))
-        owner[take] = cur[take]
+        owner[inside] = u.uid
 
-    carve = np.zeros((h, w), dtype=bool)
     for d in doors:
         bx0 = min(d.p0[0], d.p1[0]) - d.carve_halfwidth
         bx1 = max(d.p0[0], d.p1[0]) + d.carve_halfwidth
@@ -390,18 +425,13 @@ def rasterize_window(
         by1 = max(d.p0[1], d.p1[1]) + d.carve_halfwidth
         if bx1 < x0 or bx0 > x1 or by1 < y0 or by0 > y1:
             continue
-        carve |= _segment_mask(d.p0, d.p1, d.carve_halfwidth, window)
+        wall_any[_segment_mask(d.p0, d.p1, d.carve_halfwidth, window)] = False
 
-    inside_any = membership > 0
-    inp = input_states[y0:y1, x0:x1]
-    obj = inp == CellState.UNKNOWN
-    if object_from_occupied:
-        obj = obj | (inp == CellState.OCCUPIED)
-
-    states = np.full((h, w), WorldCell.UNKNOWN_OUT, dtype=np.int8)
-    states[inside_any] = WorldCell.FREE_IN
-    states[inside_any & obj] = WorldCell.OBJECT
-    states[wall_any & ~carve] = WorldCell.WALL
+    # region 0 outside every unit, 1 inside, 2 on an uncarved wall band
+    region = (membership > 0).view(np.int8) + wall_any.view(np.int8)
+    region *= 3
+    region += input_states[y0:y1, x0:x1]
+    states = np.take(_STATE_TABLES[bool(object_from_occupied)], region)
     return states, membership, owner
 
 
@@ -636,6 +666,18 @@ def _runs(flags: np.ndarray):
     return runs
 
 
+def _component_cells(labmap, lab: int, pad: int = 0):
+    """Window (bbox grown by pad cells, clipped to the frame) of one labelled
+    component, its mask in that window and its global cell indices."""
+    x0, y0, x1, y1 = labmap.bboxes[lab - 1]
+    h, w = labmap.labels.shape
+    x0, y0 = max(x0 - pad, 0), max(y0 - pad, 0)
+    x1, y1 = min(x1 + 1 + pad, w), min(y1 + 1 + pad, h)
+    sel = labmap.labels[y0:y1, x0:x1] == lab
+    ys, xs = np.nonzero(sel)
+    return (x0, y0, x1, y1), sel, ys + y0, xs + x0
+
+
 def detect_objects(state_map: WorldStateMap, min_object_cells: int = 4):
     """4-connected components of candidate object cells.
 
@@ -645,22 +687,17 @@ def detect_objects(state_map: WorldStateMap, min_object_cells: int = 4):
     obj_mask = state_map.states == WorldCell.OBJECT
     labmap = connected_components(obj_mask, connectivity=4)
     cleaned = state_map.states.copy()
+    small = np.zeros(labmap.count + 1, dtype=bool)
+    small[1:] = np.asarray(labmap.sizes, dtype=np.int64) < min_object_cells
+    cleaned[small[labmap.labels]] = WorldCell.FREE_IN
     comps = []
-    ident = 0
-    for lab in range(1, labmap.count + 1):
-        size = labmap.sizes[lab - 1]
-        sel = labmap.labels == lab
-        if size < min_object_cells:
-            cleaned[sel] = WorldCell.FREE_IN
-            continue
-        ident += 1
-        ys, xs = np.nonzero(sel)
-        owner = int(state_map.owner[ys[0], xs[0]])
+    for lab in (np.flatnonzero(~small[1:]) + 1).tolist():
+        _, _, ys, xs = _component_cells(labmap, lab)
         comps.append(
             Component(
-                ident=ident,
-                unit_uid=owner,
-                cells=size,
+                ident=len(comps) + 1,
+                unit_uid=int(state_map.owner[ys[0], xs[0]]),
+                cells=labmap.sizes[lab - 1],
                 bbox=labmap.bboxes[lab - 1],
                 centroid=(float(xs.mean() + 0.5), float(ys.mean() + 0.5)),
             )
@@ -688,31 +725,25 @@ def detect_unexplored(
         (input_grid.states == CellState.FREE) | (input_grid.states == CellState.UNKNOWN)
     )
     labmap = connected_components(cand, connectivity=4)
-    occupied = input_grid.states == CellState.OCCUPIED
-    inside_any = ~outside
-    bounding = occupied | inside_any
+    bounding = (input_grid.states == CellState.OCCUPIED) | ~outside
     comps = []
-    ident = 0
     h, w = cand.shape
     for lab in range(1, labmap.count + 1):
         if labmap.sizes[lab - 1] > max_cells:
             continue
-        sel = labmap.labels == lab
-        grown = dilate(sel, 1)
-        halo = grown & ~sel
-        ys, xs = np.nonzero(sel)
-        touches_edge = (
-            ys.min() == 0 or xs.min() == 0 or ys.max() == h - 1 or xs.max() == w - 1
-        )
-        if touches_edge or not bounding[halo].all():
+        bx0, by0, bx1, by1 = labmap.bboxes[lab - 1]
+        if bx0 == 0 or by0 == 0 or bx1 == w - 1 or by1 == h - 1:
             continue
-        ident += 1
+        # the bbox grown by one cell holds the component's whole halo
+        (x0, y0, x1, y1), sel, ys, xs = _component_cells(labmap, lab, pad=1)
+        halo = dilate(sel, 1) & ~sel
+        if not bounding[y0:y1, x0:x1][halo].all():
+            continue
         centroid = (float(xs.mean() + 0.5), float(ys.mean() + 0.5))
-        nearest = _nearest_unit_uid(units, centroid)
         comps.append(
             Component(
-                ident=ident,
-                unit_uid=nearest,
+                ident=len(comps) + 1,
+                unit_uid=_nearest_unit_uid(units, centroid),
                 cells=labmap.sizes[lab - 1],
                 bbox=labmap.bboxes[lab - 1],
                 centroid=centroid,

@@ -83,6 +83,24 @@ def test_infer_missing_map_exit_1(tmp_path):
     assert main(["infer", str(tmp_path / "nope.pgm"), "--out", str(tmp_path / "o")]) == 1
 
 
+def test_infer_unwritable_out_exit_2(tmp_path, demo_pgm, capsys):
+    pgm, _ = demo_pgm
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = main(["infer", pgm, "--out", str(blocker / "out"), "--iterations", "0"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0]
+
+
+def test_synth_unwritable_out_exit_2(tmp_path, capsys):
+    rc = main(["synth", "demo", "--out", str(tmp_path / "missing" / "demo")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0]
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize(
     "line",
     [

@@ -23,7 +23,7 @@ from semmap.mcmc import (
 )
 from semmap.mln import hard_rules
 from semmap.scoring import log_prior
-from semmap.world import Unit, World, detect_relations, qcoord
+from semmap.world import Unit, World, detect_relations, geometry_to_type, qcoord
 
 
 def free_box_grid(w=80, h=60, seed=None):
@@ -377,3 +377,52 @@ def test_chain_prior_equals_log_prior():
     expected = log_prior(world, chain.sale, cfg.prior_config(), shape, cfg.dilate_radius, strict=False)
     assert expected < 0.0
     assert chain._prior_value(chain.units) == expected
+
+
+def test_wall_diff_cache_is_kept_across_rescoring_and_bounded(monkeypatch):
+    import semmap.mcmc as mcmc_mod
+
+    units, grid = _two_rooms_units_and_grid()
+    chain = _chain_at(units, grid)
+    calls = []
+    real = mcmc_mod.wall_length_difference
+
+    def counting(a, b, *args):
+        calls.append((a, b))
+        return real(a, b, *args)
+
+    monkeypatch.setattr(mcmc_mod, "wall_length_difference", counting)
+    chain._wall_diff_cache.clear()
+    value = chain._prior_value(chain.units)
+    assert value < 0.0 and calls
+    first = len(calls)
+    chain._rescore_full()
+    assert chain._prior_value(chain.units) == value
+    assert len(calls) == first  # the differences depend on geometry only
+    monkeypatch.setattr(mcmc_mod, "WALL_DIFF_CACHE_SIZE", 2)
+    for step in range(1, 4):
+        a = chain.units[1]
+        moved = Unit(a.uid, a.cx, a.cy + step, a.hu, a.hv + step)
+        chain._prior_value(chain.units[:1] + (moved,) + chain.units[2:])
+        assert len(chain._wall_diff_cache) <= 2
+
+
+def test_world_classifies_only_untyped_units(monkeypatch):
+    import semmap.mcmc as mcmc_mod
+
+    units, grid = _two_rooms_units_and_grid()
+    chain = _chain_at(units, grid)
+    calls = []
+    real = mcmc_mod.classify_geometry
+
+    def counting(unit, *args, **kwargs):
+        calls.append(unit)
+        return real(unit, *args, **kwargs)
+
+    monkeypatch.setattr(mcmc_mod, "classify_geometry", counting)
+    world = chain._world()
+    assert calls == [] and len(world.types) == len(chain.units)
+    fresh = Unit(99, 40.0, 40.0, 10.0, 10.0)
+    world = chain._world(chain.units + (fresh,))
+    assert calls == [fresh]
+    assert world.types[-1] == geometry_to_type(real(fresh, chain.resolution, 25.0))

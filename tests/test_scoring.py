@@ -19,11 +19,17 @@ from semmap.scoring import (
     log_prior,
 )
 from semmap.world import (
+    Door,
     Unit,
     UnitType,
     World,
+    WorldCell,
+    _cos_sin,
+    _segment_mask,
+    _wall_band_in_window,
     detect_relations,
     rasterize,
+    rasterize_window,
 )
 
 
@@ -282,3 +288,182 @@ def test_field_preview_without_commit_leaves_state():
     field.preview(new_world, rects)
     assert field.total == before
     assert field.total == pytest.approx(field.full_rescore(world), abs=1e-9)
+
+
+# -- bit-exact reference: the masked-assignment rasterizer and 2-D table terms --
+
+
+def _ref_cell_span(center, extent, lo, hi):
+    a = max(lo, math.ceil(center - extent - 0.5))
+    b = min(hi - 1, math.floor(center + extent - 0.5))
+    return a, b
+
+
+def _ref_paint_axis_aligned(unit, window, thickness, membership, wall_any, owner):
+    c, s = _cos_sin(unit.angle)
+    if s == 0.0 and abs(c) == 1.0:
+        ex, ey = unit.hu, unit.hv
+    elif c == 0.0 and abs(s) == 1.0:
+        ex, ey = unit.hv, unit.hu
+    else:
+        return False
+    x0, y0, x1, y1 = window
+    ix0, ix1 = _ref_cell_span(unit.cx, ex, x0, x1)
+    iy0, iy1 = _ref_cell_span(unit.cy, ey, y0, y1)
+    if ix0 > ix1 or iy0 > iy1:
+        return True
+    sl = (slice(iy0 - y0, iy1 + 1 - y0), slice(ix0 - x0, ix1 + 1 - x0))
+    membership[sl] += 1
+    sub = owner[sl]
+    owner[sl] = np.where(sub == -1, np.int32(unit.uid), np.minimum(sub, np.int32(unit.uid)))
+    jx0, jx1 = _ref_cell_span(unit.cx, max(ex - thickness, 0.0), x0, x1)
+    jy0, jy1 = _ref_cell_span(unit.cy, max(ey - thickness, 0.0), y0, y1)
+    if jx0 > jx1 or jy0 > jy1 or ex <= thickness or ey <= thickness:
+        wall_any[sl] = True
+        return True
+    wall_any[iy0 - y0 : jy0 - y0, ix0 - x0 : ix1 + 1 - x0] = True
+    wall_any[jy1 + 1 - y0 : iy1 + 1 - y0, ix0 - x0 : ix1 + 1 - x0] = True
+    wall_any[iy0 - y0 : iy1 + 1 - y0, ix0 - x0 : jx0 - x0] = True
+    wall_any[iy0 - y0 : iy1 + 1 - y0, jx1 + 1 - x0 : ix1 + 1 - x0] = True
+    return True
+
+
+def _ref_rasterize_window(units, input_states, window, wall_thickness, doors, object_from_occupied):
+    x0, y0, x1, y1 = window
+    h, w = y1 - y0, x1 - x0
+    membership = np.zeros((h, w), dtype=np.int16)
+    owner = np.full((h, w), -1, dtype=np.int32)
+    wall_any = np.zeros((h, w), dtype=bool)
+    for u in units:
+        ax0, ay0, ax1, ay1 = u.aabb()
+        if ax1 < x0 or ax0 > x1 or ay1 < y0 or ay0 > y1:
+            continue
+        if _ref_paint_axis_aligned(u, window, wall_thickness, membership, wall_any, owner):
+            continue
+        inside, band = _wall_band_in_window(u, window, wall_thickness)
+        membership += inside
+        wall_any |= band
+        cur = np.where(inside, np.int32(u.uid), np.int32(2**31 - 1))
+        take = inside & ((owner == -1) | (cur < owner))
+        owner[take] = cur[take]
+    carve = np.zeros((h, w), dtype=bool)
+    for d in doors:
+        carve |= _segment_mask(d.p0, d.p1, d.carve_halfwidth, window)
+    inside_any = membership > 0
+    inp = input_states[y0:y1, x0:x1]
+    obj = inp == CellState.UNKNOWN
+    if object_from_occupied:
+        obj = obj | (inp == CellState.OCCUPIED)
+    states = np.full((h, w), WorldCell.UNKNOWN_OUT, dtype=np.int8)
+    states[inside_any] = WorldCell.FREE_IN
+    states[inside_any & obj] = WorldCell.OBJECT
+    states[wall_any & ~carve] = WorldCell.WALL
+    return states, membership, owner
+
+
+def _ref_terms(inp, states, membership, owner, world, tables, log_psi):
+    corridor_uids = {u.uid for u, t in zip(world.units, world.types) if t == UnitType.CORRIDOR}
+    gamma = np.maximum(membership.astype(np.float64) - 1.0, 0.0)
+    vals = tables.log_noncorridor[inp, states]
+    if corridor_uids:
+        top = int(owner.max())
+        if top >= 0:
+            lut = np.zeros(top + 2, dtype=bool)
+            for uid in corridor_uids:
+                if 0 <= uid <= top:
+                    lut[uid] = True
+            corr_mask = lut[np.where(owner >= 0, owner, top + 1)]
+            if corr_mask.any():
+                vals = np.where(corr_mask, tables.log_corridor[inp, states], vals)
+    return vals + gamma * log_psi
+
+
+def _random_world(rng, shape):
+    """Overlapping units on a quarter-cell grid: axis-aligned, turned by
+    pi/2 or pi, or rotated by any angle; some thinner than the wall band;
+    random types, non-contiguous uids and door segments."""
+    h, w = shape
+    n = int(rng.integers(1, 7))
+    uids = rng.choice(20, size=n, replace=False)
+    units = []
+    for uid in uids:
+        angle = float(rng.choice([0.0, math.pi / 2, math.pi, rng.uniform(0.0, math.pi)]))
+        units.append(
+            Unit(
+                int(uid),
+                float(rng.integers(0, 4 * w)) / 4.0,
+                float(rng.integers(0, 4 * h)) / 4.0,
+                float(rng.integers(2, 60)) / 4.0,
+                float(rng.integers(2, 60)) / 4.0,
+                angle,
+            )
+        )
+    types = tuple(UnitType(int(t)) for t in rng.integers(0, 4, size=n))
+    doors = []
+    for _ in range(int(rng.integers(0, 3))):
+        p0 = (float(rng.integers(0, 4 * w)) / 4.0, float(rng.integers(0, 4 * h)) / 4.0)
+        if rng.random() < 0.5:
+            p1 = (p0[0] + float(rng.integers(4, 40)) / 4.0, p0[1])
+        else:
+            p1 = (float(rng.integers(0, 4 * w)) / 4.0, float(rng.integers(0, 4 * h)) / 4.0)
+        doors.append(Door(units[0].uid, units[-1].uid, p0, p1, 4.0, 3.0))
+    return World(units=tuple(units), types=types, doors=tuple(doors))
+
+
+def _random_window(rng, shape):
+    h, w = shape
+    x0, x1 = sorted(int(v) for v in rng.choice(w + 1, size=2, replace=False))
+    y0, y1 = sorted(int(v) for v in rng.choice(h + 1, size=2, replace=False))
+    return x0, y0, x1, y1
+
+
+@pytest.mark.parametrize("object_from_occupied", [True, False])
+def test_rasterize_and_terms_bit_exact_vs_reference(object_from_occupied):
+    rng = np.random.default_rng(17 if object_from_occupied else 18)
+    shape = (48, 64)
+    grid = ClassifiedGrid(rng.integers(0, 3, size=shape).astype(np.int8))
+    tables = SensorModelTable()
+    seen = {"rotated": 0, "overlap": 0, "carved": 0, "corridor": 0}
+    for _ in range(150):
+        world = _random_world(rng, shape)
+        thickness = float(rng.choice([1.0, 2.0, 2.5]))
+        psi = float(rng.choice([0.5, 0.3]))
+        field = LikelihoodField(
+            grid, tables, LikelihoodConfig(psi=psi), thickness, object_from_occupied
+        )
+        field.reset(world)
+        full = (0, 0, shape[1], shape[0])
+        windows = [full] + [_random_window(rng, shape) for _ in range(3)]
+        for window in windows:
+            got = rasterize_window(
+                world.units, grid.states, window, thickness, world.doors, object_from_occupied
+            )
+            want = _ref_rasterize_window(
+                world.units, grid.states, window, thickness, world.doors, object_from_occupied
+            )
+            for g, r in zip(got, want):
+                assert g.dtype == r.dtype
+                assert np.array_equal(g, r)
+            x0, y0, x1, y1 = window
+            ref_terms = _ref_terms(
+                grid.states[y0:y1, x0:x1], *want, world, tables, math.log(psi)
+            )
+            if window == full:
+                assert np.array_equal(field.terms, ref_terms)
+                assert field.total == float(ref_terms.sum())
+                assert field.full_rescore(world) == float(ref_terms.sum())
+                assert np.array_equal(field.membership, want[1])
+            else:
+                _, patches = field.preview(world, [window])
+                (rect, *patch), = patches
+                assert rect == window
+                for g, r in zip(patch, (*want, ref_terms)):
+                    assert np.array_equal(g, r)
+            no_doors = _ref_rasterize_window(
+                world.units, grid.states, window, thickness, (), object_from_occupied
+            )[0]
+            seen["carved"] += int(np.count_nonzero(no_doors != want[0]))
+            seen["overlap"] += int(np.count_nonzero(want[1] >= 2))
+        seen["rotated"] += sum(u.angle not in (0.0, math.pi / 2, math.pi) for u in world.units)
+        seen["corridor"] += sum(t == UnitType.CORRIDOR for t in world.types)
+    assert all(count > 0 for count in seen.values()), seen

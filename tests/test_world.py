@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semmap.errors import NotAdjacent
-from semmap.grid import CellState, ClassifiedGrid
+from semmap.grid import CellState, ClassifiedGrid, connected_components, dilate
 from semmap.world import (
+    Component,
     Door,
     GeometryClass,
     Unit,
     UnitType,
     World,
     WorldCell,
+    _nearest_unit_uid,
     abstract_graph,
     classify_geometry,
     connecting_wall_lengths,
@@ -330,6 +332,90 @@ def test_detect_unexplored_fully_tiled_map_empty():
     unit = Unit(0, 10.0, 10.0, 11.0, 11.0)
     smap = rasterize([unit], grid)
     assert detect_unexplored(grid, smap, max_cells=50, units=[unit]) == []
+
+
+def _ref_detect_objects(state_map, min_object_cells):
+    """One full-frame mask per label."""
+    labmap = connected_components(state_map.states == WorldCell.OBJECT, connectivity=4)
+    cleaned = state_map.states.copy()
+    comps = []
+    for lab in range(1, labmap.count + 1):
+        size = labmap.sizes[lab - 1]
+        sel = labmap.labels == lab
+        if size < min_object_cells:
+            cleaned[sel] = WorldCell.FREE_IN
+            continue
+        ys, xs = np.nonzero(sel)
+        comps.append(
+            Component(
+                len(comps) + 1,
+                int(state_map.owner[ys[0], xs[0]]),
+                size,
+                labmap.bboxes[lab - 1],
+                (float(xs.mean() + 0.5), float(ys.mean() + 0.5)),
+            )
+        )
+    return comps, cleaned
+
+
+def _ref_detect_unexplored(input_grid, state_map, max_cells, units):
+    """One full-frame mask and dilation per label."""
+    outside = state_map.membership == 0
+    cand = outside & (input_grid.states != CellState.OCCUPIED)
+    labmap = connected_components(cand, connectivity=4)
+    bounding = (input_grid.states == CellState.OCCUPIED) | ~outside
+    h, w = cand.shape
+    comps = []
+    for lab in range(1, labmap.count + 1):
+        if labmap.sizes[lab - 1] > max_cells:
+            continue
+        sel = labmap.labels == lab
+        halo = dilate(sel, 1) & ~sel
+        ys, xs = np.nonzero(sel)
+        if ys.min() == 0 or xs.min() == 0 or ys.max() == h - 1 or xs.max() == w - 1:
+            continue
+        if not bounding[halo].all():
+            continue
+        centroid = (float(xs.mean() + 0.5), float(ys.mean() + 0.5))
+        comps.append(
+            Component(
+                len(comps) + 1,
+                _nearest_unit_uid(units, centroid),
+                labmap.sizes[lab - 1],
+                labmap.bboxes[lab - 1],
+                centroid,
+            )
+        )
+    return comps
+
+
+def test_detectors_bit_exact_vs_per_label_loop_on_speckle():
+    found = {"objects": 0, "cleaned": 0, "unexplored": 0}
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        shape = (int(rng.integers(30, 90)), int(rng.integers(30, 90)))
+        p_occ, p_unk = rng.uniform(0.2, 0.5), rng.uniform(0.05, 0.3)
+        states = rng.choice(3, size=shape, p=[p_occ, p_unk, 1.0 - p_occ - p_unk])
+        grid = ClassifiedGrid(states.astype(np.int8))
+        units = [
+            Unit(uid, float(rng.integers(8, shape[1] - 8)), float(rng.integers(8, shape[0] - 8)),
+                 float(rng.integers(3, 12)), float(rng.integers(3, 12)))
+            for uid in range(int(rng.integers(0, 4)))
+        ]
+        for object_from_occupied in (True, False):
+            smap = rasterize(units, grid, object_from_occupied=object_from_occupied)
+            for min_cells in (1, 4, 9):
+                comps, cleaned = detect_objects(smap, min_object_cells=min_cells)
+                want, want_states = _ref_detect_objects(smap, min_cells)
+                assert comps == want
+                assert np.array_equal(cleaned.states, want_states)
+                found["objects"] += len(comps)
+                found["cleaned"] += int(np.count_nonzero(cleaned.states != smap.states))
+            for max_cells in (3, 20, 400):
+                got = detect_unexplored(grid, smap, max_cells, units)
+                assert got == _ref_detect_unexplored(grid, smap, max_cells, units)
+                found["unexplored"] += len(got)
+    assert all(count > 0 for count in found.values()), found
 
 
 # -- abstract graph ----------------------------------------------------------------
