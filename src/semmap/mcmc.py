@@ -5,7 +5,8 @@ from unexplained free-space components) paired with REMOVE, SPLIT/MERGE,
 SHRINK/DILATE (single-wall moves), blind ALLOCATE/DELETE, and the
 self-reverse INTERCHANGE which shifts the shared boundary of two aligned
 equal-section units, conserving total footprint area. Metropolis-Hastings
-acceptance runs on the incremental posterior; relations, doors and MLN-driven
+acceptance compares each proposed world's posterior, its likelihood scored
+by rectangle algebra, with the current one; relations, doors and MLN-driven
 types refresh periodically and whenever the evidence signature changes.
 
 Proposal-ratio bookkeeping is per-kernel selection and parameter densities
@@ -27,11 +28,10 @@ from . import mln as mln_mod
 from .config import RunConfig
 from .errors import EmptyMap, NotApplicable
 from .grid import CellState, ClassifiedGrid, connected_components, coverage
-from .scoring import LikelihoodField, dirty_rects_for_units, sale_log_prior
+from .scoring import LikelihoodField, sale_log_prior
 from .world import (
     _cos_sin,
-    footprint_in_window,
-    unit_window,
+    _unit_boxes,
     GeometryClass,
     Unit,
     World,
@@ -108,12 +108,6 @@ SNAPSHOT_EVERY = 50
 WALL_DIFF_CACHE_SIZE = 1024
 
 
-def _integral_image(mask: np.ndarray) -> np.ndarray:
-    pad = np.zeros((mask.shape[0] + 1, mask.shape[1] + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(mask, axis=0), axis=1, out=pad[1:, 1:])
-    return pad
-
-
 @dataclass
 class Proposal:
     kind: KernelKind
@@ -123,7 +117,6 @@ class Proposal:
     log_ratio: float
     changed_old: tuple
     changed_new: tuple
-    dirty_rects: tuple = ()
 
     @property
     def structural(self) -> bool:
@@ -150,21 +143,6 @@ def move_wall(unit: Unit, wall: int, delta: float) -> Unit:
     if wall == 2:
         return Unit(unit.uid, qcoord(unit.cx + qcoord(s * vx)), qcoord(unit.cy + qcoord(s * vy)), unit.hu, qcoord(unit.hv + s), unit.angle)
     return Unit(unit.uid, qcoord(unit.cx - qcoord(s * vx)), qcoord(unit.cy - qcoord(s * vy)), unit.hu, qcoord(unit.hv + s), unit.angle)
-
-
-def wall_slab_rect(old: Unit, new: Unit, wall: int, thickness: float, shape):
-    """Cell window covering everything a single-wall move can change: the
-    region between the old and new wall planes plus the band margin."""
-    pts = list(old.wall_segment(wall)) + list(new.wall_segment(wall))
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    pad = thickness + 2.0
-    x0 = int(math.floor(min(xs) - pad))
-    x1 = int(math.ceil(max(xs) + pad)) + 1
-    y0 = int(math.floor(min(ys) - pad))
-    y1 = int(math.ceil(max(ys) + pad)) + 1
-    h, w = shape
-    return (max(0, x0), max(0, y0), min(w, x1), min(h, y1))
 
 
 def split_unit(unit: Unit, axis: int, offset: float, uid1: int, uid2: int):
@@ -358,9 +336,7 @@ class Chain:
 
         self.coverage = coverage(input_grid)
         self._free = input_grid.states == CellState.FREE
-        self._free_integral = _integral_image(self._free)
-        self._occupied_integral = _integral_image(input_grid.states == CellState.OCCUPIED)
-        self._seed_cache = (-1, None)
+        self._seed_cache = (None, None)
         self.knowledge_active = self.coverage > config.coverage_gate
 
         self.tables = config.sensor_tables()
@@ -450,6 +426,7 @@ class Chain:
         self.refresh_count += 1
         old_types = dict(self.types)
         old_doors = self.doors
+        old_sale = self.sale
         sem = derive_semantics(
             self.units,
             self.input,
@@ -467,21 +444,34 @@ class Chain:
             if sem.evidence_key is not None:
                 self.evidence_key = sem.evidence_key
                 self.mln_runs += 1
-        if force or not self.units or self.types != old_types or self.doors != old_doors:
+        changed = self.types != old_types or self.doors != old_doors or self.sale != old_sale
+        if force or not self.units or changed:
             self._rescore_full()
+        if changed and self.best_units is not None:
+            # later worlds are compared with the best one under this target
+            best = self.best_units
+            self.best_score = self.scorer.score(self._world(best, self.best_types)) + self._prior_value(best)
 
     def _rescore_full(self):
-        self.scorer.reset(self._world())
-        self.log_lik = self.scorer.total
+        self.log_lik = self.scorer.score(self._world())
         self.log_prior_val = self._prior_value(self.units)
 
-    def _world(self, units=None) -> World:
+    def _world(self, units=None, types=None) -> World:
+        """The world of units (the chain's by default) under the chain's
+        semantics: types by uid (the chain's by default; untyped units take
+        their geometry class) and the doors whose two units are among them."""
         units = self.units if units is None else units
-        types = tuple(
-            t if (t := self.types.get(u.uid)) is not None else geometry_to_type(self._geometry_class(u))
-            for u in units
+        types = self.types if types is None else types
+        alive = {u.uid for u in units}
+        return World(
+            units=units,
+            types=tuple(
+                t if (t := types.get(u.uid)) is not None else geometry_to_type(self._geometry_class(u))
+                for u in units
+            ),
+            doors=tuple(d for d in self.doors if d.unit_p in alive and d.unit_q in alive),
+            resolution=self.resolution,
         )
-        return World(units=units, types=types, doors=self.doors, resolution=self.resolution)
 
     # -- prior ---------------------------------------------------------------
 
@@ -525,55 +515,41 @@ class Chain:
         # a space unit must enclose actual mapped free space; without this,
         # sliver units fully inside thick occupied blobs score as all-wall
         # boxes and never die
-        free_cells = self._cells_inside(unit, self._free_integral, self._free)
+        free_cells = self._cells_inside(unit, CellState.FREE)
         if free_cells < ADD_SEED_MIN_CELLS:
             return False
         if free_cells < MIN_FREE_FRACTION * unit.area:
             return False
-        occ = self._cells_inside(unit, self._occupied_integral, None)
+        occ = self._cells_inside(unit, CellState.OCCUPIED)
         return occ <= MAX_OCCUPIED_FRACTION * unit.area
 
-    def _cells_inside(self, unit: Unit, integral, mask) -> int:
-        # axis-aligned fast path via the integral image
-        half_pi = math.pi / 2.0
-        if abs(unit.angle) < 1e-12 or abs(unit.angle - half_pi) < 1e-12:
-            if abs(unit.angle) < 1e-12:
-                ex, ey = unit.hu, unit.hv
-            else:
-                ex, ey = unit.hv, unit.hu
-            h, w = self.shape
-            x0 = max(0, math.ceil(unit.cx - ex - 0.5))
-            x1 = min(w - 1, math.floor(unit.cx + ex - 0.5))
-            y0 = max(0, math.ceil(unit.cy - ey - 0.5))
-            y1 = min(h - 1, math.floor(unit.cy + ey - 0.5))
-            if x0 > x1 or y0 > y1:
-                return 0
-            F = integral
-            return int(F[y1 + 1, x1 + 1] - F[y0, x1 + 1] - F[y1 + 1, x0] + F[y0, x0])
-        win = unit_window(unit, self.shape)
-        if win[0] >= win[2] or win[1] >= win[3]:
-            return 0
-        if mask is None:
-            mask = self.input.states == CellState.OCCUPIED
-        sub = mask[win[1] : win[3], win[0] : win[2]]
-        inside = footprint_in_window(unit, win)
-        return int(np.count_nonzero(sub & inside))
+    def _cells_inside(self, unit: Unit, cls: CellState) -> int:
+        """Input cells of a class inside an axis-aligned unit, read from the
+        class's integral image."""
+        x0, x1, y0, y1 = _unit_boxes(unit, self.cfg.wall_thickness, self.shape[1], self.shape[0])[0]
+        F = self.scorer.integrals[cls]
+        return int(F[y1, x1] - F[y0, x1] - F[y1, x0] + F[y0, x0])
 
     def _kernel_weight(self, kind: KernelKind) -> float:
         return self.cfg.kernel_weights[kind.name.lower()]
 
     def _free_seeds(self):
-        version, cached = self._seed_cache
-        if version == self.accepted_total and cached is not None:
+        """Bounding boxes of the free components no unit covers, with at
+        least ADD_SEED_MIN_CELLS cells; recomputed after accepted moves."""
+        units, cached = self._seed_cache
+        if units is self.units:
             return cached
-        unexplained = self._free & (self.scorer.membership == 0)
+        unexplained = self._free.copy()
+        for u in self.units:
+            x0, x1, y0, y1 = _unit_boxes(u, self.cfg.wall_thickness, self.shape[1], self.shape[0])[0]
+            unexplained[y0:y1, x0:x1] = False
         labels = connected_components(unexplained, connectivity=4)
         seeds = [
             labels.bboxes[i]
             for i in range(labels.count)
             if labels.sizes[i] >= ADD_SEED_MIN_CELLS
         ]
-        self._seed_cache = (self.accepted_total, seeds)
+        self._seed_cache = (self.units, seeds)
         return seeds
 
     def propose(self, kind: KernelKind) -> Proposal:
@@ -668,8 +644,7 @@ class Chain:
             if not self._unit_valid(moved):
                 raise NotApplicable("wall move out of range")
             params = (target.uid, wall, delta)
-            rect = wall_slab_rect(target, moved, wall, self.cfg.wall_thickness, self.shape)
-            return self._finish(kind, params, (target,), (moved,), 0.0, dirty=(rect,))
+            return self._finish(kind, params, (target,), (moved,), 0.0)
 
         if kind == KernelKind.SPLIT:
             target = units[int(rng.integers(n))]
@@ -741,11 +716,7 @@ class Chain:
             if not (self._unit_valid(moved_a) and self._unit_valid(moved_b)):
                 raise NotApplicable("interchange out of range")
             params = (a.uid, b.uid, wall_a, wall_b, delta)
-            rects = (
-                wall_slab_rect(a, moved_a, wall_a, self.cfg.wall_thickness, self.shape),
-                wall_slab_rect(b, moved_b, wall_b, self.cfg.wall_thickness, self.shape),
-            )
-            return self._finish(kind, params, (a, b), (moved_a, moved_b), 0.0, dirty=rects)
+            return self._finish(kind, params, (a, b), (moved_a, moved_b), 0.0)
 
         raise NotApplicable(f"unhandled kernel {kind}")
 
@@ -761,7 +732,7 @@ class Chain:
             + math.log(2.0)
         )
 
-    def _finish(self, kind, params, changed_old, changed_new, log_ratio, new_units=None, dirty=()):
+    def _finish(self, kind, params, changed_old, changed_new, log_ratio, new_units=None):
         if new_units is None:
             new_units = apply_kernel(self.units, kind, params)
         rev = reverse_params_for(kind, params, changed_old)
@@ -773,47 +744,39 @@ class Chain:
             log_ratio=log_ratio,
             changed_old=changed_old,
             changed_new=changed_new,
-            dirty_rects=tuple(dirty),
         )
 
     # -- accept / step ----------------------------------------------------------
 
     def accept(self, proposal: Proposal):
-        """Metropolis-Hastings decision; on acceptance the chain state and
-        incremental caches move to the proposed world. Returns True/False."""
-        if proposal.dirty_rects:
-            rects = list(proposal.dirty_rects)
-        else:
-            rects = dirty_rects_for_units(
-                list(proposal.changed_old) + list(proposal.changed_new), self.shape
-            )
+        """Metropolis-Hastings decision between the chain's world and the
+        proposed one, whose doors are those of the chain both of whose units
+        survive; on acceptance the chain moves to that world. Returns
+        True/False."""
         # type for brand-new units defaults to their geometry class
         for u in proposal.changed_new:
             if u.uid not in self.types:
                 self.types[u.uid] = geometry_to_type(self._geometry_class(u))
         new_world = self._world(proposal.new_units)
-        delta_lik, patches = self.scorer.preview(new_world, rects)
+        new_lik = self.scorer.score(new_world)
         new_prior = self._prior_value(proposal.new_units)
-        delta_post = delta_lik + (new_prior - self.log_prior_val)
+        delta_post = (new_lik - self.log_lik) + (new_prior - self.log_prior_val)
         log_alpha = delta_post + proposal.log_ratio
         accepted = log_alpha >= 0.0 or math.log(self.rng.random()) < log_alpha
         if not accepted:
             self._drop_stale_types(proposal)
             return False
 
-        self.scorer.commit(delta_lik, patches)
         removed = {u.uid for u in proposal.changed_old} - {
             u.uid for u in proposal.changed_new
         }
         self.units = proposal.new_units
+        self.doors = new_world.doors
         if removed:
             self.types = {k: v for k, v in self.types.items() if k not in removed}
-            self.doors = tuple(
-                d for d in self.doors if d.unit_p not in removed and d.unit_q not in removed
-            )
         if proposal.kind in (KernelKind.ADD, KernelKind.ALLOCATE, KernelKind.SPLIT, KernelKind.MERGE):
             self.next_uid = max([self.next_uid] + [u.uid + 1 for u in proposal.changed_new])
-        self.log_lik = self.scorer.total
+        self.log_lik = new_lik
         self.log_prior_val = new_prior
         post = self.log_lik + self.log_prior_val
         if post > self.best_score:

@@ -1,12 +1,13 @@
 """Posterior scoring: the inference-based prior over connecting-wall length
 differences and the overlap-penalized semantic-sensor likelihood, in log
-space. ``LikelihoodField`` maintains the per-cell terms incrementally so a
-proposal only rescoring its dirty rectangles matches a from-scratch pass to
-float round-off.
+space. ``LikelihoodField`` scores the worlds of the chain by rectangle
+algebra over the input's integral images and matches a from-scratch
+rasterized pass to float round-off.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -15,13 +16,15 @@ import numpy as np
 from .errors import DimensionMismatch, MissingWalls, NotAdjacent
 from .grid import ClassifiedGrid
 from .world import (
+    _STATE_TABLES,
     UnitType,
     World,
     WorldStateMap,
+    _carve_box,
+    _clip_box,
+    _unit_boxes,
     connecting_wall_lengths,
     rasterize,
-    rasterize_window,
-    unit_window,
 )
 
 # rows: input class (occupied, unknown, free)
@@ -167,26 +170,16 @@ def _term_table(tables: SensorModelTable, n: int, log_psi: float) -> np.ndarray:
     return (log_terms[None, :] + penalty[:, None]).ravel()
 
 
-def _terms(inp4, states, membership, owner, offsets, table):
-    """Per-cell log terms gathered from a _term_table; ``inp4`` holds input
-    class * 4 and ``offsets`` is the _corridor_offsets of the world."""
-    idx = membership * np.int16(24)
-    if offsets is not None:
-        idx += np.take(offsets, owner)
-    idx += inp4
-    idx += states
-    return np.take(table, idx)
-
-
 def _world_terms(inp, world: World, states: WorldStateMap, tables, log_psi):
-    return _terms(
-        inp * np.int8(4),
-        states.states,
-        states.membership,
-        states.owner,
-        _corridor_offsets(world),
-        _term_table(tables, world.n, log_psi),
-    )
+    """Per-cell log terms of a rasterized world, gathered from its
+    _term_table."""
+    idx = states.membership * np.int16(24)
+    offsets = _corridor_offsets(world)
+    if offsets is not None:
+        idx += np.take(offsets, states.owner)
+    idx += inp * np.int8(4)
+    idx += states.states
+    return np.take(_term_table(tables, world.n, log_psi), idx)
 
 
 def log_likelihood(
@@ -234,45 +227,41 @@ def log_posterior(
     return Score(log_prior=lp, log_likelihood=ll)
 
 
+
+
 # ---------------------------------------------------------------------------
-# incremental likelihood
+# likelihood by rectangle algebra
 
 
-def _merge_rects(rects, shape):
-    """Clip rectangles to the frame and merge overlapping ones."""
-    h, w = shape
-    boxes = []
-    for x0, y0, x1, y1 in rects:
-        x0, y0 = max(0, x0), max(0, y0)
-        x1, y1 = min(w, x1), min(h, y1)
-        if x0 < x1 and y0 < y1:
-            boxes.append([x0, y0, x1, y1])
-    merged = True
-    while merged:
-        merged = False
-        out = []
-        while boxes:
-            box = boxes.pop()
-            for other in boxes:
-                if box[0] < other[2] and other[0] < box[2] and box[1] < other[3] and other[1] < box[3]:
-                    other[0] = min(other[0], box[0])
-                    other[1] = min(other[1], box[1])
-                    other[2] = max(other[2], box[2])
-                    other[3] = max(other[3], box[3])
-                    merged = True
-                    break
-            else:
-                out.append(box)
-        boxes = out
-    return [tuple(b) for b in boxes]
+def _class_integrals(states: np.ndarray) -> np.ndarray:
+    """Summed-area tables of each input class, shape (3, h + 1, w + 1) with
+    a zero first row and column: cells of class c in rows [y0, y1) and
+    columns [x0, x1) number F[c, y1, x1] - F[c, y0, x1] - F[c, y1, x0] +
+    F[c, y0, x0]."""
+    h, w = states.shape
+    out = np.zeros((3, h + 1, w + 1), dtype=np.int32)
+    for c in range(3):
+        np.cumsum(np.cumsum(states == c, axis=0, dtype=np.int32), axis=1, out=out[c, 1:, 1:])
+    return out
+
+
+# corner weights of a box in a 2-D difference array
+_CORNERS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 class LikelihoodField:
-    """Per-cell likelihood terms with incremental dirty-rectangle updates.
+    """The likelihood of worlds over one input map, scored by rectangle
+    algebra over the input's summed-area tables (Crow, SIGGRAPH 1984).
 
-    The cached total equals a from-scratch evaluation of the same world up to
-    float accumulation order. ``full_rescore`` recomputes everything and is
-    the oracle the incremental path is tested against.
+    The clipped edges of a world's units, of their interiors inside the
+    wall band and of its door carves cut the frame into a small grid of
+    elementary rectangles, each uniform in membership, wall band, carving
+    and owner. The input's integral images give each rectangle's cell
+    count per input class, so the log-likelihood is a histogram of cell
+    counts over the categories of _term_table dotted with the table: two
+    worlds with the same histogram score exactly the same. ``full_rescore``
+    rasterizes cell by cell; it is the oracle ``score`` is tested against
+    and the path for rotated units.
     """
 
     def __init__(
@@ -285,86 +274,87 @@ class LikelihoodField:
     ):
         self.input_grid = input_grid
         self.inp = input_grid.states
-        self.inp4 = self.inp * np.int8(4)
         self.shape = self.inp.shape
         self.tables = tables
         self.log_psi = math.log(cfg.psi)
-        self._table = _term_table(tables, 1, self.log_psi)
         self.wall_thickness = wall_thickness
         self.object_from_occupied = object_from_occupied
+        self.integrals = _class_integrals(self.inp)
+        self._flat_integrals = self.integrals.reshape(3, -1)
+        self._set_weights(1)
+
+    def _set_weights(self, n: int):
+        """Lay the _term_table of up to n units out by input class * K +
+        membership * 6 + corridor * 3 + region, K = 6 (n + 1); region is 0
+        outside every unit, 1 inside and 2 on an uncarved wall band."""
+        table = _term_table(self.tables, n, self.log_psi)
+        m = np.arange(n + 1)[:, None, None]
+        corridor = np.arange(2)[:, None]
+        states = _STATE_TABLES[bool(self.object_from_occupied)].reshape(3, 3)
+        self._weights = np.concatenate(
+            [table[m * 24 + corridor * 12 + c * 4 + states[:, c]].ravel() for c in range(3)]
+        )
+        self._class_offsets = (np.arange(3) * (6 * (n + 1)))[:, None, None]
+        self._max_units = n
+
+    def score(self, world: World) -> float:
+        """Log-likelihood of a world whose units are axis-aligned and whose
+        doors are horizontal or vertical; ValueError for any other."""
         h, w = self.shape
-        self.terms = np.zeros((h, w), dtype=np.float64)
-        self.membership = np.zeros((h, w), dtype=np.int16)
-        self.total = 0.0
+        n = world.n
+        boxes = [_unit_boxes(u, self.wall_thickness, w, h) for u in world.units]
+        carves = [_clip_box(box, w, h) for d in world.doors if (box := _carve_box(d)) is not None]
+        # layer 0: unit footprints, 1: their interiors, then door carves
+        layers = [[b[0] for b in boxes], [b[1] for b in boxes if len(b) > 1]]
+        if carves:
+            layers.append(carves)
+        x0s, x1s, y0s, y1s = zip((0, w, 0, h), *itertools.chain(*layers))
+        xs, ys = sorted({*x0s, *x1s}), sorted({*y0s, *y1s})
+        nx, ny = len(xs), len(ys)
+        xi = {v: i for i, v in enumerate(xs)}
+        yi = {v: i for i, v in enumerate(ys)}
 
-    def _table_for(self, world: World) -> np.ndarray:
-        # membership never exceeds the number of units
-        if len(self._table) <= world.n * 24:
-            self._table = _term_table(self.tables, world.n, self.log_psi)
-        return self._table
-
-    def reset(self, world: World):
-        """Recompute every cell for the given world."""
-        window = (0, 0, self.shape[1], self.shape[0])
-        states, membership, owner = rasterize_window(
-            world.units,
-            self.inp,
-            window,
-            self.wall_thickness,
-            world.doors,
-            self.object_from_occupied,
-        )
-        self.membership = membership
-        self.terms = _terms(
-            self.inp4,
-            states,
-            membership,
-            owner,
-            _corridor_offsets(world),
-            self._table_for(world),
-        )
-        self.total = float(self.terms.sum())
-
-    def preview(self, world: World, rects):
-        """Evaluate the likelihood delta of rescoring ``rects`` for ``world``
-        without committing. Returns (delta, patches) where patches feed
-        commit()."""
-        offsets = _corridor_offsets(world)
-        table = self._table_for(world)
-        patches = []
-        delta = 0.0
-        for rect in _merge_rects(rects, self.shape):
-            x0, y0, x1, y1 = rect
-            states, membership, owner = rasterize_window(
-                world.units,
-                self.inp,
-                rect,
-                self.wall_thickness,
-                world.doors,
-                self.object_from_occupied,
-            )
-            new_terms = _terms(
-                self.inp4[y0:y1, x0:x1],
-                states,
-                membership,
-                owner,
-                offsets,
-                table,
-            )
-            old_sum = float(self.terms[y0:y1, x0:x1].sum())
-            new_sum = float(new_terms.sum())
-            delta += new_sum - old_sum
-            patches.append((rect, states, membership, owner, new_terms))
-        return delta, patches
-
-    def commit(self, delta: float, patches):
-        for (x0, y0, x1, y1), _, membership, _, new_terms in patches:
-            self.membership[y0:y1, x0:x1] = membership
-            self.terms[y0:y1, x0:x1] = new_terms
-        self.total += delta
+        # the number of boxes of each layer covering each elementary
+        # rectangle, summed from a difference array
+        corners = []
+        for layer, layer_boxes in enumerate(layers):
+            base = layer * nx * ny
+            for x0, x1, y0, y1 in layer_boxes:
+                r0, r1 = base + yi[y0] * nx, base + yi[y1] * nx
+                x0, x1 = xi[x0], xi[x1]
+                corners += (r0 + x0, r0 + x1, r1 + x0, r1 + x1)
+        weights = np.broadcast_to(_CORNERS, (len(corners) // 4, 4)).ravel()
+        cover = np.bincount(corners, weights, len(layers) * nx * ny).reshape(len(layers), ny, nx)
+        cover = cover.cumsum(axis=2).cumsum(axis=1)[:, :-1, :-1]
+        membership = cover[0].astype(np.intp)
+        key = membership * 6
+        key += membership > 0
+        # a wall band cell lies in a footprint but not in its interior, and
+        # no door carves it
+        wall = cover[0] > cover[1]
+        if carves:
+            wall &= cover[2] == 0
+        key += wall
+        corridor = {u.uid for u, t in zip(world.units, world.types) if t == UnitType.CORRIDOR}
+        if corridor:
+            # the owner of a rectangle, the lowest uid among the units
+            # covering it, paints it last in descending uid order; units
+            # above the highest corridor uid would paint 0 over 0
+            owner_corridor = np.zeros(key.shape, dtype=np.intp)
+            top = max(corridor)
+            for uid, i in sorted(((u.uid, i) for i, u in enumerate(world.units) if u.uid <= top), reverse=True):
+                x0, x1, y0, y1 = boxes[i][0]
+                owner_corridor[yi[y0] : yi[y1], xi[x0] : xi[x1]] = uid in corridor
+            key += owner_corridor * 3
+        if n > self._max_units:  # membership never exceeds the unit count
+            self._set_weights(n)
+        f = self._flat_integrals.take(np.array(ys)[:, None] * (w + 1) + np.array(xs), axis=1)
+        counts = f[:, 1:, 1:] - f[:, :-1, 1:] - f[:, 1:, :-1] + f[:, :-1, :-1]
+        hist = np.bincount((key + self._class_offsets).ravel(), weights=counts.ravel())
+        return float(hist @ self._weights[: hist.size])
 
     def full_rescore(self, world: World) -> float:
-        """From-scratch likelihood for the world, ignoring the cache."""
+        """From-scratch likelihood for the world, rasterized cell by cell."""
         states = rasterize(
             world.units,
             self.input_grid,
@@ -374,12 +364,3 @@ class LikelihoodField:
         )
         terms = _world_terms(self.inp, world, states, self.tables, self.log_psi)
         return float(terms.sum())
-
-
-def dirty_rects_for_units(units, shape, margin: int = 2):
-    """Bounding windows (with margin) of the given units, for dirty-region
-    rescoring."""
-    rects = []
-    for u in units:
-        rects.append(unit_window(u, shape, margin=margin))
-    return rects

@@ -28,6 +28,11 @@ QUANT = float(2**20)
 SPAN_CACHE_SIZE = 256
 
 
+# cos/sin within this of 0 or +-1 snap to it: twice the largest qcoord
+# rounding error of 2**-21
+AXIS_SNAP = 1.0 / QUANT
+
+
 def qcoord(x: float) -> float:
     """Snap a coordinate to the dyadic grid used for exact move reversal."""
     return round(x * QUANT) / QUANT
@@ -35,15 +40,16 @@ def qcoord(x: float) -> float:
 
 def _cos_sin(angle: float):
     """cos/sin with exact snapping near the axis directions, so rotations by
-    pi/2 rasterize identically to axis-aligned units."""
+    pi/2 rasterize identically to axis-aligned units. The snap covers the
+    dyadic grid's rounding, which leaves qcoord(pi/2) up to 2**-21 away."""
     c, s = math.cos(angle), math.sin(angle)
-    if abs(c) < 1e-9:
+    if abs(c) < AXIS_SNAP:
         c = 0.0
-    elif abs(abs(c) - 1.0) < 1e-9:
+    elif abs(abs(c) - 1.0) < AXIS_SNAP:
         c = math.copysign(1.0, c)
-    if abs(s) < 1e-9:
+    if abs(s) < AXIS_SNAP:
         s = 0.0
-    elif abs(abs(s) - 1.0) < 1e-9:
+    elif abs(abs(s) - 1.0) < AXIS_SNAP:
         s = math.copysign(1.0, s)
     return c, s
 
@@ -313,6 +319,24 @@ def _segment_mask(p0, p1, halfwidth: float, window):
     return (t >= 0) & (t <= length) & (perp <= halfwidth)
 
 
+@functools.lru_cache(maxsize=SPAN_CACHE_SIZE)
+def _carve_box(door: Door):
+    """Inclusive cell ranges (x0, x1, y0, y1) of the cells a horizontal or
+    vertical door carves, exactly its _segment_mask; None when it carves no
+    cell. ValueError for a door along neither axis."""
+    (px, py), (qx, qy) = door.p0, door.p1
+    if px != qx and py != qy:
+        raise ValueError("door segment is neither horizontal nor vertical")
+    hw = door.carve_halfwidth
+    x0 = math.floor(min(px, qx) - hw) - 1
+    y0 = math.floor(min(py, qy) - hw) - 1
+    window = (x0, y0, math.ceil(max(px, qx) + hw) + 1, math.ceil(max(py, qy) + hw) + 1)
+    ys, xs = np.nonzero(_segment_mask(door.p0, door.p1, hw, window))
+    if not xs.size:
+        return None
+    return x0 + int(xs.min()), x0 + int(xs.max()), y0 + int(ys.min()), y0 + int(ys.max())
+
+
 def _cell_span(center: float, extent: float):
     """Inclusive index range of cells whose centers fall inside
     [center-extent, center+extent]; empty when the first index exceeds the
@@ -341,6 +365,24 @@ def _unit_spans(unit: Unit, thickness: float):
     if inner[0] > inner[1] or inner[2] > inner[3] or ex <= thickness or ey <= thickness:
         inner = None
     return unit.aabb(), (outer, inner)
+
+
+@functools.lru_cache(maxsize=SPAN_CACHE_SIZE)
+def _unit_boxes(unit, thickness: float, w: int, h: int):
+    """The end-exclusive cell boxes (x0, x1, y0, y1) of an axis-aligned
+    unit's footprint and, when it has one, of its interior inside the wall
+    band, clipped to a w x h frame; ValueError for a rotated unit."""
+    spans = _unit_spans(unit, thickness)[1]
+    if spans is None:
+        raise ValueError(f"unit {unit.uid} is not axis-aligned")
+    return tuple(_clip_box(box, w, h) for box in spans if box is not None)
+
+
+def _clip_box(span, w: int, h: int):
+    """Inclusive cell ranges (x0, x1, y0, y1) as an end-exclusive box
+    clipped to a w x h frame."""
+    x0, x1, y0, y1 = span
+    return min(max(x0, 0), w), min(max(x1 + 1, 0), w), min(max(y0, 0), h), min(max(y1 + 1, 0), h)
 
 
 def _paint_axis_aligned(uid, spans, window, membership, wall_any, owner):

@@ -23,7 +23,7 @@ from semmap.mcmc import (
 )
 from semmap.mln import hard_rules
 from semmap.scoring import log_prior
-from semmap.world import Unit, World, detect_relations, geometry_to_type, qcoord
+from semmap.world import Unit, UnitType, World, detect_relations, geometry_to_type, qcoord
 
 
 def free_box_grid(w=80, h=60, seed=None):
@@ -256,15 +256,84 @@ def test_acceptance_improving_symmetric_move_always_taken():
             cand = chain.propose(KernelKind.DILATE)
         except NotApplicable:
             continue
-        delta, _ = chain.scorer.preview(chain._world(cand.new_units),
-                                        __import__("semmap.scoring", fromlist=["dirty_rects_for_units"]).dirty_rects_for_units(
-                                            list(cand.changed_old) + list(cand.changed_new), chain.shape))
-        if delta > 0:
+        if chain.scorer.score(chain._world(cand.new_units)) > chain.log_lik:
             prop = cand
             break
     assert prop is not None
     assert chain.accept(prop)
     assert chain.log_lik > before_lik
+
+
+def test_likelihood_matches_full_rescore_when_units_holding_doors_go():
+    # the true floor units hold doors; forced SPLIT, MERGE and REMOVE moves
+    # take units with doors away, and the chain refreshes after each move
+    units, grid = _floor_units_and_grid()
+    chain = Chain(grid, small_config(iterations=0, mln_refresh_structural=1, mln_refresh_geometric=1))
+    chain.knowledge_active = False  # doors come without MLN inference
+    chain.units = tuple(sorted(units, key=lambda u: u.uid))
+    chain.next_uid = max(u.uid for u in units) + 1
+    chain.refresh(force=True)
+    assert chain.doors
+    kinds = (KernelKind.SPLIT, KernelKind.MERGE, KernelKind.REMOVE, KernelKind.ADD)
+    took_doors = set()
+    for step in range(120):
+        kind = kinds[step % len(kinds)]
+        try:
+            proposal = chain.propose(kind)
+        except NotApplicable:
+            continue
+        held = {uid for d in chain.doors for uid in (d.unit_p, d.unit_q)}
+        removed = {u.uid for u in proposal.changed_old} - {u.uid for u in proposal.changed_new}
+        proposal.log_ratio = math.inf  # accept whatever the likelihood says
+        assert chain.accept(proposal)
+        alive = {u.uid for u in chain.units}
+        assert all(d.unit_p in alive and d.unit_q in alive for d in chain.doors)
+        assert abs(chain.log_lik - chain.scorer.full_rescore(chain._world())) <= 1e-6
+        if removed & held:
+            took_doors.add(kind)
+        chain.refresh()
+        assert abs(chain.log_lik - chain.scorer.full_rescore(chain._world())) <= 1e-6
+        if took_doors >= {KernelKind.SPLIT, KernelKind.MERGE, KernelKind.REMOVE}:
+            break
+    assert took_doors >= {KernelKind.SPLIT, KernelKind.MERGE, KernelKind.REMOVE}, took_doors
+
+
+def test_best_world_is_rescored_when_a_refresh_opens_the_prior(monkeypatch):
+    import semmap.mcmc as mcmc_mod
+
+    # two room pairs of equal footprint area on an all-free map tie in
+    # likelihood; only the SaLe prior on their connecting walls tells them
+    # apart: the aligned pair has equal walls, the skewed one differs by 8
+    grid = ClassifiedGrid(np.full((60, 80), CellState.FREE, dtype=np.int8))
+    aligned = (Unit(0, 20.0, 30.0, 10.0, 10.0), Unit(1, 40.0, 30.0, 10.0, 10.0))
+    skewed = (Unit(0, 20.0, 30.0, 10.0, 12.0), Unit(1, 40.0, 30.0, 10.0, 8.0))
+    chain = Chain(grid, small_config(iterations=0, hall_area_min_m2=25.0))
+    assert chain.knowledge_active
+    real = mcmc_mod.derive_semantics
+    gate = {"open": False}
+
+    def semantics(units, *args, **kwargs):
+        sem = real(units, *args, **kwargs)
+        sale = {(0, 1): 1.0} if gate["open"] and len(units) == 2 else {}
+        types = tuple(UnitType.ROOM for _ in units)
+        return mcmc_mod.Semantics(sem.relations, (), str(gate["open"]), types, sale)
+
+    monkeypatch.setattr(mcmc_mod, "derive_semantics", semantics)
+    chain.units = skewed
+    chain.refresh(force=True)
+    assert chain.sale == {} and chain.log_prior_val == 0.0
+    chain.best_units, chain.best_types = chain.units, dict(chain.types)
+    chain.best_score = chain.log_lik
+    gate["open"] = True
+    chain.refresh()  # the gate opens on the skewed pair
+    assert chain.log_prior_val < 0.0
+    assert chain.best_score == chain.log_lik + chain.log_prior_val
+    move = mcmc_mod.Proposal(
+        KernelKind.INTERCHANGE, aligned, (), (), 0.0, skewed, aligned
+    )
+    assert chain.scorer.full_rescore(chain._world(aligned)) == pytest.approx(chain.log_lik, abs=1e-9)
+    assert chain.accept(move)
+    assert chain.best_units == aligned
 
 
 def test_refresh_cadence_triggers_on_counters():

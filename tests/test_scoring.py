@@ -13,7 +13,6 @@ from semmap.scoring import (
     PriorConfig,
     Score,
     SensorModelTable,
-    dirty_rects_for_units,
     log_likelihood,
     log_posterior,
     log_prior,
@@ -24,10 +23,12 @@ from semmap.world import (
     UnitType,
     World,
     WorldCell,
+    _carve_box,
     _cos_sin,
     _segment_mask,
     _wall_band_in_window,
     detect_relations,
+    qcoord,
     rasterize,
     rasterize_window,
 )
@@ -244,50 +245,156 @@ def test_posterior_knowledge_inactive_prior_zero():
     assert score.log_prior == 0.0
 
 
-# -- incremental field ----------------------------------------------------------
+# -- rectangle-algebra field ----------------------------------------------------
 
 
-def test_field_reset_matches_full_rescore():
+def test_field_score_matches_full_rescore():
     rng = np.random.default_rng(4)
     grid = ClassifiedGrid(rng.integers(0, 3, size=(50, 60)).astype(np.int8))
     world = two_room_world(shape=(50, 60))
     field = LikelihoodField(grid, SensorModelTable(), LikelihoodConfig())
-    field.reset(world)
-    assert field.total == pytest.approx(field.full_rescore(world), abs=1e-9)
+    assert field.score(world) == pytest.approx(field.full_rescore(world), abs=1e-9)
 
 
-def test_field_incremental_updates_track_full_rescore():
+def test_field_score_tracks_full_rescore_over_moves():
     rng = np.random.default_rng(5)
     grid = ClassifiedGrid(rng.integers(0, 3, size=(50, 60)).astype(np.int8))
     a = Unit(0, 20.0, 20.0, 10.0, 10.0)
-    b = Unit(1, 40.0, 25.0, 8.0, 12.0)
-    world = World(units=(a, b), types=(UnitType.ROOM, UnitType.CORRIDOR))
+    types = (UnitType.ROOM, UnitType.CORRIDOR)
     field = LikelihoodField(grid, SensorModelTable(), LikelihoodConfig())
-    field.reset(world)
-    # move unit b a few times, committing each step
     for step in range(6):
         moved = Unit(1, 40.0 + step, 25.0, 8.0, 12.0 + step / 2.0)
-        new_world = World(units=(a, moved), types=world.types)
-        rects = dirty_rects_for_units([world.units[1], moved], grid.states.shape)
-        delta, patches = field.preview(new_world, rects)
-        field.commit(delta, patches)
-        world = new_world
-        assert field.total == pytest.approx(field.full_rescore(world), abs=1e-9)
+        world = World(units=(a, moved), types=types)
+        assert field.score(world) == pytest.approx(field.full_rescore(world), abs=1e-9)
 
 
-def test_field_preview_without_commit_leaves_state():
+def test_field_score_is_pure():
     grid = uniform_grid((40, 40), CellState.FREE)
     a = Unit(0, 20.0, 20.0, 10.0, 10.0)
     world = World(units=(a,), types=(UnitType.ROOM,))
     field = LikelihoodField(grid, SensorModelTable(), LikelihoodConfig())
-    field.reset(world)
-    before = field.total
-    moved = Unit(0, 22.0, 20.0, 10.0, 10.0)
-    new_world = World(units=(moved,), types=world.types)
-    rects = dirty_rects_for_units([a, moved], grid.states.shape)
-    field.preview(new_world, rects)
-    assert field.total == before
-    assert field.total == pytest.approx(field.full_rescore(world), abs=1e-9)
+    before = field.score(world)
+    field.score(World(units=(Unit(0, 22.0, 20.0, 10.0, 10.0),), types=world.types))
+    assert field.score(world) == before
+    assert before == pytest.approx(field.full_rescore(world), abs=1e-9)
+
+
+def test_field_score_rejects_rotated_units_and_slanted_doors():
+    field = LikelihoodField(uniform_grid((40, 40), CellState.FREE), SensorModelTable(), LikelihoodConfig())
+    tilted = World(units=(Unit(0, 20.0, 20.0, 8.0, 6.0, 0.3),), types=(UnitType.ROOM,))
+    with pytest.raises(ValueError):
+        field.score(tilted)
+    a = Unit(0, 20.0, 20.0, 8.0, 6.0)
+    slanted = World(units=(a,), types=(UnitType.ROOM,), doors=(Door(0, 0, (12.0, 14.0), (16.0, 18.0), 4.0),))
+    with pytest.raises(ValueError):
+        field.score(slanted)
+
+
+def _expected_carve_box(door, shape):
+    """Inclusive cell ranges of a horizontal or vertical door's carve from
+    _segment_mask's own float expressions, evaluated on each axis alone."""
+    (px, py), (qx, qy) = door.p0, door.p1
+    dx, dy = qx - px, qy - py
+    length = math.hypot(dx, dy)
+    if length <= 0:
+        return None
+    dx, dy = dx / length, dy / length
+    h, w = shape
+    xs = np.arange(w, dtype=np.float64) + 0.5
+    ys = np.arange(h, dtype=np.float64) + 0.5
+    if dy == 0.0:  # t depends on x only, the perpendicular distance on y only
+        t = (xs - px) * dx
+        along = np.flatnonzero((t >= 0) & (t <= length))
+        across = np.flatnonzero(np.abs((ys - py) * dx) <= door.carve_halfwidth)
+        cols, rows = along, across
+    else:
+        t = (ys - py) * dy
+        along = np.flatnonzero((t >= 0) & (t <= length))
+        across = np.flatnonzero(np.abs(-(xs - px) * dy) <= door.carve_halfwidth)
+        cols, rows = across, along
+    if not (cols.size and rows.size):
+        return None
+    return int(cols[0]), int(cols[-1]), int(rows[0]), int(rows[-1])
+
+
+def _random_axis_world(rng, shape):
+    """Overlapping axis-aligned units on a quarter-cell grid, some turned by
+    qcoord(pi/2), some clipped at the frame edge and some thinner than the
+    wall band; random types and non-contiguous uids; horizontal and
+    vertical doors, some across coordinates off the dyadic grid, some
+    carves overlapping."""
+    h, w = shape
+    n = int(rng.integers(0, 7))
+    uids = rng.choice(20, size=n, replace=False)
+    units = []
+    for uid in uids:
+        units.append(
+            Unit(
+                int(uid),
+                float(rng.integers(-20, 4 * w + 20)) / 4.0,
+                float(rng.integers(-20, 4 * h + 20)) / 4.0,
+                float(rng.integers(2, 80)) / 4.0,
+                float(rng.integers(2, 80)) / 4.0,
+                float(rng.choice([0.0, qcoord(math.pi / 2), qcoord(math.pi)])),
+            )
+        )
+    types = tuple(UnitType(int(t)) for t in rng.integers(0, 4, size=n))
+    doors = []
+    for _ in range(int(rng.integers(0, 4))):
+        along = float(rng.integers(0, 4 * w)) / 4.0
+        across = float(rng.integers(0, 4 * h)) / 4.0
+        if rng.random() < 0.5:
+            across += float(rng.random())  # not dyadic
+        length = float(rng.integers(0, 48)) / 4.0
+        if rng.random() < 0.5:
+            p0, p1 = (along, across), (along + length, across)
+        else:
+            p0, p1 = (across * w / h, along * h / w + length), (across * w / h, along * h / w)
+        doors.append(Door(0, 1, p0, p1, length, float(rng.choice([2.0, 3.0, 3.5]))))
+        if rng.random() < 0.3:  # a second carve overlapping the first
+            shift = float(rng.integers(1, 12)) / 4.0
+            doors.append(Door(0, 1, (p0[0] + shift, p0[1] + shift), (p1[0] + shift, p1[1] + shift), length))
+    return World(units=tuple(units), types=types, doors=tuple(doors))
+
+
+def test_field_score_matches_full_rescore_on_random_axis_aligned_worlds():
+    rng = np.random.default_rng(23)
+    shape = (48, 64)
+    grid = ClassifiedGrid(rng.integers(0, 3, size=shape).astype(np.int8))
+    full = (0, 0, shape[1], shape[0])
+    seen = {"overlap": 0, "half_pi": 0, "corridor": 0, "clipped": 0, "carved": 0, "carves_overlap": 0}
+    for i in range(200):
+        world = _random_axis_world(rng, shape)
+        thickness = (1.0, 2.0, 2.5)[i % 3]
+        psi = (0.5, 0.3)[i % 2]
+        field = LikelihoodField(grid, SensorModelTable(), LikelihoodConfig(psi=psi), thickness, i % 4 != 0)
+        assert abs(field.score(world) - field.full_rescore(world)) <= 1e-9
+        carve = np.zeros(shape, dtype=bool)
+        for d in world.doors:
+            mask = _segment_mask(d.p0, d.p1, d.carve_halfwidth, full)
+            want = _expected_carve_box(d, shape)
+            box = _carve_box(d)
+            if want is None:
+                assert not mask.any()
+                continue
+            x0, x1, y0, y1 = want
+            painted = np.zeros(shape, dtype=bool)
+            painted[y0 : y1 + 1, x0 : x1 + 1] = True
+            assert np.array_equal(mask, painted)
+            # the carve box, computed over its own window, clipped to the frame
+            assert (max(box[0], 0), min(box[1], shape[1] - 1), max(box[2], 0), min(box[3], shape[0] - 1)) == want
+            seen["carves_overlap"] += int((carve & mask).any())
+            carve |= mask
+        states = rasterize(world.units, grid, thickness, world.doors)
+        plain = rasterize(world.units, grid, thickness)
+        seen["carved"] += int(np.count_nonzero(states.states != plain.states))
+        seen["overlap"] += int(np.count_nonzero(states.membership >= 2))
+        seen["half_pi"] += sum(u.angle == qcoord(math.pi / 2) for u in world.units)
+        seen["corridor"] += sum(t == UnitType.CORRIDOR for t in world.types)
+        seen["clipped"] += sum(
+            u.aabb()[0] < 0 or u.aabb()[1] < 0 or u.aabb()[2] > shape[1] or u.aabb()[3] > shape[0] for u in world.units
+        )
+    assert all(count > 0 for count in seen.values()), seen
 
 
 # -- bit-exact reference: the masked-assignment rasterizer and 2-D table terms --
@@ -423,7 +530,7 @@ def test_rasterize_and_terms_bit_exact_vs_reference(object_from_occupied):
     shape = (48, 64)
     grid = ClassifiedGrid(rng.integers(0, 3, size=shape).astype(np.int8))
     tables = SensorModelTable()
-    seen = {"rotated": 0, "overlap": 0, "carved": 0, "corridor": 0}
+    seen = {"rotated": 0, "overlap": 0, "carved": 0, "corridor": 0, "scored": 0}
     for _ in range(150):
         world = _random_world(rng, shape)
         thickness = float(rng.choice([1.0, 2.0, 2.5]))
@@ -431,7 +538,6 @@ def test_rasterize_and_terms_bit_exact_vs_reference(object_from_occupied):
         field = LikelihoodField(
             grid, tables, LikelihoodConfig(psi=psi), thickness, object_from_occupied
         )
-        field.reset(world)
         full = (0, 0, shape[1], shape[0])
         windows = [full] + [_random_window(rng, shape) for _ in range(3)]
         for window in windows:
@@ -449,16 +555,16 @@ def test_rasterize_and_terms_bit_exact_vs_reference(object_from_occupied):
                 grid.states[y0:y1, x0:x1], *want, world, tables, math.log(psi)
             )
             if window == full:
-                assert np.array_equal(field.terms, ref_terms)
-                assert field.total == float(ref_terms.sum())
                 assert field.full_rescore(world) == float(ref_terms.sum())
-                assert np.array_equal(field.membership, want[1])
-            else:
-                _, patches = field.preview(world, [window])
-                (rect, *patch), = patches
-                assert rect == window
-                for g, r in zip(patch, (*want, ref_terms)):
-                    assert np.array_equal(g, r)
+                axis_aligned = all(u.angle in (0.0, math.pi / 2, math.pi) for u in world.units) and all(
+                    d.p0[0] == d.p1[0] or d.p0[1] == d.p1[1] for d in world.doors
+                )
+                if axis_aligned:
+                    assert abs(field.score(world) - float(ref_terms.sum())) <= 1e-9
+                    seen["scored"] += 1
+                else:
+                    with pytest.raises(ValueError):
+                        field.score(world)
             no_doors = _ref_rasterize_window(
                 world.units, grid.states, window, thickness, (), object_from_occupied
             )[0]

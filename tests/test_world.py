@@ -16,6 +16,7 @@ from semmap.world import (
     World,
     WorldCell,
     _nearest_unit_uid,
+    _unit_spans,
     abstract_graph,
     classify_geometry,
     connecting_wall_lengths,
@@ -24,6 +25,7 @@ from semmap.world import (
     detect_relations,
     detect_unexplored,
     footprint_mask,
+    qcoord,
     rasterize,
     world_from_dict,
     world_to_dict,
@@ -160,6 +162,20 @@ def test_rasterize_partitions_cells_and_membership_zero_outside():
     assert (smap.states[~outside] != WorldCell.UNKNOWN_OUT).all()
     overlap = smap.membership == 2
     assert overlap.any()
+
+
+@pytest.mark.parametrize("thickness", [1.0, 2.0, 2.5])
+def test_rasterize_half_pi_unit_equals_axis_aligned_with_swapped_extents(thickness):
+    rng = np.random.default_rng(11)
+    grid = ClassifiedGrid(rng.integers(0, 3, size=(40, 50)).astype(np.int8))
+    # cell centers lie exactly on the footprint and band edges
+    turned = Unit(0, 25.0, 20.0, 10.5, 16.5, angle=qcoord(math.pi / 2))
+    plain = Unit(0, 25.0, 20.0, 16.5, 10.5)
+    assert _unit_spans(turned, thickness) == _unit_spans(plain, thickness)
+    got = rasterize([turned], grid, wall_thickness=thickness)
+    want = rasterize([plain], grid, wall_thickness=thickness)
+    for a, b in ((got.states, want.states), (got.membership, want.membership), (got.owner, want.owner)):
+        assert np.array_equal(a, b)
 
 
 def test_rasterize_door_carves_wall():
