@@ -286,6 +286,8 @@ def cmd_synth(args) -> int:
         else:
             with open(args.spec, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise InvalidSpec("a spec must be a JSON object")
             spec = SyntheticSpec(
                 width=doc["width"],
                 height=doc["height"],

@@ -41,7 +41,6 @@ from .world import (
     detect_relations,
     detect_unexplored,
     geometry_to_type,
-    pair_overlaps,
     qcoord,
     rasterize,
     wall_length_difference,
@@ -103,9 +102,6 @@ MIN_FREE_FRACTION = 0.2
 MAX_OCCUPIED_FRACTION = 0.45
 # the sample log records the unit geometry every SNAPSHOT_EVERY accepted moves
 SNAPSHOT_EVERY = 50
-# the prior's wall-length differences are kept per unit pair geometry, the
-# pairs of rejected proposals included; the cache is emptied when it fills
-WALL_DIFF_CACHE_SIZE = 1024
 
 
 @dataclass
@@ -354,7 +350,6 @@ class Chain:
         self.relations = None
         self.sale: dict = {}  # (uid_lo, uid_hi) -> marginal
         self.evidence_key = None
-        self._wall_diff_cache: dict = {}
 
         self.next_uid = 0
         self.iteration = 0
@@ -475,31 +470,18 @@ class Chain:
 
     # -- prior ---------------------------------------------------------------
 
-    def _wall_diff(self, a: Unit, b: Unit):
-        """Connecting-wall length difference of a unit pair, None when the
-        pair shares no wall; it depends on the two geometries only."""
-        cache = self._wall_diff_cache
-        key = (a, b)
-        if key in cache:
-            return cache[key]
-        lengths = wall_length_difference(
-            a, b, self.shape, self.cfg.dilate_radius, self.cfg.min_overlap_cells
-        )
-        if len(cache) >= WALL_DIFF_CACHE_SIZE:
-            cache.clear()
-        cache[key] = d = None if lengths is None else lengths[2]
-        return d
-
     def _prior_value(self, units) -> float:
         if not (self.knowledge_active and self.cfg.prior_enabled) or not self.sale:
             return 0.0
-        return sale_log_prior(
-            units,
-            self.sale,
-            self.cfg.sigma_len,
-            self.cfg.sale_threshold,
-            lambda p, q: self._wall_diff(units[p], units[q]),
-        )
+        cfg = self.cfg
+
+        def wall_diff(p, q):
+            lengths = wall_length_difference(
+                units[p], units[q], self.shape, cfg.dilate_radius, cfg.min_overlap_cells
+            )
+            return None if lengths is None else lengths[2]
+
+        return sale_log_prior(units, self.sale, cfg.sigma_len, cfg.sale_threshold, wall_diff)
 
     # -- proposals -------------------------------------------------------------
 
@@ -909,13 +891,11 @@ def derive_semantics(
         return Semantics(None, (), None, (), {})
     resolution = input_grid.resolution
     shape = input_grid.states.shape
-    overlaps = pair_overlaps(units, shape, cfg.dilate_radius)
     rel = detect_relations(
         units,
         shape,
         dilate_radius=cfg.dilate_radius,
         min_overlap_cells=cfg.min_overlap_cells,
-        overlaps=overlaps,
     )
     geom = tuple(
         classify_geometry(
@@ -932,7 +912,6 @@ def derive_semantics(
             cfg.door_max_cells(resolution),
             wall_thickness=cfg.wall_thickness,
             dilate_radius=cfg.dilate_radius,
-            overlaps=overlaps,
         )
     )
     if not knowledge_active:

@@ -23,8 +23,8 @@ from .errors import DimensionMismatch, NotAdjacent
 from .grid import CellState, ClassifiedGrid, connected_components, dilate
 
 QUANT = float(2**20)
-# per-unit geometry cache of the rasterizer: the current units and the few
-# of each proposal, with room to spare
+# per-unit and per-pair geometry caches: the current units and their pairs
+# and the few of each proposal, with room to spare
 SPAN_CACHE_SIZE = 256
 
 
@@ -346,25 +346,24 @@ def _cell_span(center: float, extent: float):
 
 @functools.lru_cache(maxsize=SPAN_CACHE_SIZE)
 def _unit_spans(unit: Unit, thickness: float):
-    """(aabb, spans) of a unit. For an axis-aligned unit, spans holds the
-    unclipped cell ranges (ix0, ix1, iy0, iy1) of its footprint and
-    (jx0, jx1, jy0, jy1) of the interior inside its wall band, the latter
-    None when the band fills the footprint; for a rotated unit spans is
-    None and rasterization takes the general path."""
+    """The unclipped cell ranges of an axis-aligned unit: (ix0, ix1, iy0,
+    iy1) of its footprint and (jx0, jx1, jy0, jy1) of the interior inside
+    its wall band, the latter None when the band fills the footprint; None
+    for a rotated unit, which rasterization takes along the general path."""
     c, s = _cos_sin(unit.angle)
     if s == 0.0 and abs(c) == 1.0:
         ex, ey = unit.hu, unit.hv
     elif c == 0.0 and abs(s) == 1.0:
         ex, ey = unit.hv, unit.hu
     else:
-        return unit.aabb(), None
+        return None
     outer = _cell_span(unit.cx, ex) + _cell_span(unit.cy, ey)
     inner = _cell_span(unit.cx, max(ex - thickness, 0.0)) + _cell_span(
         unit.cy, max(ey - thickness, 0.0)
     )
     if inner[0] > inner[1] or inner[2] > inner[3] or ex <= thickness or ey <= thickness:
         inner = None
-    return unit.aabb(), (outer, inner)
+    return outer, inner
 
 
 @functools.lru_cache(maxsize=SPAN_CACHE_SIZE)
@@ -372,7 +371,7 @@ def _unit_boxes(unit, thickness: float, w: int, h: int):
     """The end-exclusive cell boxes (x0, x1, y0, y1) of an axis-aligned
     unit's footprint and, when it has one, of its interior inside the wall
     band, clipped to a w x h frame; ValueError for a rotated unit."""
-    spans = _unit_spans(unit, thickness)[1]
+    spans = _unit_spans(unit, thickness)
     if spans is None:
         raise ValueError(f"unit {unit.uid} is not axis-aligned")
     return tuple(_clip_box(box, w, h) for box in spans if box is not None)
@@ -385,30 +384,27 @@ def _clip_box(span, w: int, h: int):
     return min(max(x0, 0), w), min(max(x1 + 1, 0), w), min(max(y0, 0), h), min(max(y1 + 1, 0), h)
 
 
-def _paint_axis_aligned(uid, spans, window, membership, wall_any, owner):
+def _paint_axis_aligned(uid, spans, membership, wall_any, owner):
     """Slice-based painting of an axis-aligned unit, with its spans clipped
-    to the window."""
-    (ix0, ix1, iy0, iy1), inner = spans
-    x0, y0, x1, y1 = window
-    ix0, ix1 = max(ix0, x0) - x0, min(ix1, x1 - 1) + 1 - x0
-    iy0, iy1 = max(iy0, y0) - y0, min(iy1, y1 - 1) + 1 - y0
-    if ix0 >= ix1 or iy0 >= iy1:
+    to the frame."""
+    h, w = membership.shape
+    outer, inner = spans
+    x0, x1, y0, y1 = _clip_box(outer, w, h)
+    if x0 >= x1 or y0 >= y1:
         return
-    sl = (slice(iy0, iy1), slice(ix0, ix1))
+    sl = (slice(y0, y1), slice(x0, x1))
     membership[sl] += 1
     owner[sl] = uid
     if inner is not None:
-        jx0, jx1, jy0, jy1 = inner
-        jx0, jx1 = max(jx0, x0) - x0, min(jx1, x1 - 1) + 1 - x0
-        jy0, jy1 = max(jy0, y0) - y0, min(jy1, y1 - 1) + 1 - y0
+        jx0, jx1, jy0, jy1 = _clip_box(inner, w, h)
     if inner is None or jx0 >= jx1 or jy0 >= jy1:
         wall_any[sl] = True
         return
     # band strips: inside minus the inner rectangle
-    wall_any[iy0:jy0, ix0:ix1] = True
-    wall_any[jy1:iy1, ix0:ix1] = True
-    wall_any[iy0:iy1, ix0:jx0] = True
-    wall_any[iy0:iy1, jx1:ix1] = True
+    wall_any[y0:jy0, x0:x1] = True
+    wall_any[jy1:y1, x0:x1] = True
+    wall_any[y0:y1, x0:jx0] = True
+    wall_any[y0:y1, jx1:x1] = True
 
 
 _uid = operator.attrgetter("uid")
@@ -426,57 +422,6 @@ def _state_table(object_from_occupied: bool) -> np.ndarray:
 _STATE_TABLES = {flag: _state_table(flag) for flag in (False, True)}
 
 
-def rasterize_window(
-    units,
-    input_states: np.ndarray,
-    window,
-    wall_thickness: float = 2.0,
-    doors=(),
-    object_from_occupied: bool = True,
-):
-    """Compute (states, membership, owner) arrays for a cell window.
-
-    A cell inside some unit and within wall_thickness of that unit's edge is
-    WALL unless a door segment carves it open. Interior cells whose input is
-    unknown (or occupied, when enabled) are OBJECT candidates, the rest
-    FREE_IN. Cells in no unit are UNKNOWN_OUT. The owner is the lowest uid
-    among containing units.
-    """
-    x0, y0, x1, y1 = window
-    h, w = y1 - y0, x1 - x0
-    membership = np.zeros((h, w), dtype=np.int16)
-    owner = np.full((h, w), -1, dtype=np.int32)
-    wall_any = np.zeros((h, w), dtype=bool)
-    # in descending uid order the last unit to paint a cell owns it
-    for u in sorted(units, key=_uid, reverse=True):
-        (ax0, ay0, ax1, ay1), spans = _unit_spans(u, wall_thickness)
-        if ax1 < x0 or ax0 > x1 or ay1 < y0 or ay0 > y1:
-            continue
-        if spans is not None:
-            _paint_axis_aligned(u.uid, spans, window, membership, wall_any, owner)
-            continue
-        inside, band = _wall_band_in_window(u, window, wall_thickness)
-        membership += inside
-        wall_any |= band
-        owner[inside] = u.uid
-
-    for d in doors:
-        bx0 = min(d.p0[0], d.p1[0]) - d.carve_halfwidth
-        bx1 = max(d.p0[0], d.p1[0]) + d.carve_halfwidth
-        by0 = min(d.p0[1], d.p1[1]) - d.carve_halfwidth
-        by1 = max(d.p0[1], d.p1[1]) + d.carve_halfwidth
-        if bx1 < x0 or bx0 > x1 or by1 < y0 or by0 > y1:
-            continue
-        wall_any[_segment_mask(d.p0, d.p1, d.carve_halfwidth, window)] = False
-
-    # region 0 outside every unit, 1 inside, 2 on an uncarved wall band
-    region = (membership > 0).view(np.int8) + wall_any.view(np.int8)
-    region *= 3
-    region += input_states[y0:y1, x0:x1]
-    states = np.take(_STATE_TABLES[bool(object_from_occupied)], region)
-    return states, membership, owner
-
-
 def rasterize(
     units,
     input_grid: ClassifiedGrid,
@@ -484,14 +429,40 @@ def rasterize(
     doors=(),
     object_from_occupied: bool = True,
 ) -> WorldStateMap:
-    """Rasterize unit footprints over the full input frame."""
+    """Rasterize unit footprints over the full input frame.
+
+    A cell inside some unit and within wall_thickness of that unit's edge is
+    WALL unless a door segment carves it open. Interior cells whose input is
+    unknown (or occupied, when enabled) are OBJECT candidates, the rest
+    FREE_IN. Cells in no unit are UNKNOWN_OUT. The owner is the lowest uid
+    among containing units.
+    """
     if wall_thickness < 1:
         raise ValueError("wall_thickness must be >= 1")
-    shape = input_grid.states.shape
-    window = (0, 0, shape[1], shape[0])
-    states, membership, owner = rasterize_window(
-        units, input_grid.states, window, wall_thickness, doors, object_from_occupied
-    )
+    h, w = input_grid.states.shape
+    frame = (0, 0, w, h)
+    membership = np.zeros((h, w), dtype=np.int16)
+    owner = np.full((h, w), -1, dtype=np.int32)
+    wall_any = np.zeros((h, w), dtype=bool)
+    # in descending uid order the last unit to paint a cell owns it
+    for u in sorted(units, key=_uid, reverse=True):
+        spans = _unit_spans(u, wall_thickness)
+        if spans is not None:
+            _paint_axis_aligned(u.uid, spans, membership, wall_any, owner)
+            continue
+        inside, band = _wall_band_in_window(u, frame, wall_thickness)
+        membership += inside
+        wall_any |= band
+        owner[inside] = u.uid
+
+    for d in doors:
+        wall_any[_segment_mask(d.p0, d.p1, d.carve_halfwidth, frame)] = False
+
+    # region 0 outside every unit, 1 inside, 2 on an uncarved wall band
+    region = (membership > 0).view(np.int8) + wall_any.view(np.int8)
+    region *= 3
+    region += input_grid.states
+    states = np.take(_STATE_TABLES[bool(object_from_occupied)], region)
     return WorldStateMap(states=states, membership=membership, owner=owner)
 
 
@@ -499,50 +470,59 @@ def rasterize(
 # relation / door / blob detection
 
 
-def _boundary_ring_mask(unit: Unit, window):
-    _, band = _wall_band_in_window(unit, window, 1.0)
-    return band
-
-
-def _pair_window(a: Unit, b: Unit, shape, radius: int):
-    ax0, ay0, ax1, ay1 = a.aabb()
-    bx0, by0, bx1, by1 = b.aabb()
-    pad = radius + 1
-    x0 = int(math.floor(max(ax0, bx0))) - pad
-    y0 = int(math.floor(max(ay0, by0))) - pad
-    x1 = int(math.ceil(min(ax1, bx1))) + 1 + pad
-    y1 = int(math.ceil(min(ay1, by1))) + 1 + pad
-    x0, y0, x1, y1 = clip_window(x0, y0, x1, y1, shape)
-    if x0 >= x1 or y0 >= y1:
-        return None
-    return (x0, y0, x1, y1)
-
-
-def _pair_overlap(a: Unit, b: Unit, shape, radius: int):
-    """Overlap mask of the two dilated boundary rings, or None."""
-    win = _pair_window(a, b, shape, radius)
-    if win is None:
-        return None, None
-    ra = dilate(_boundary_ring_mask(a, win), radius)
-    rb = dilate(_boundary_ring_mask(b, win), radius)
-    overlap = ra & rb
-    if not overlap.any():
-        return win, None
-    return win, overlap
-
-
-def pair_overlaps(units, shape, dilate_radius: int = 3) -> dict:
-    """Ring overlap of every unit pair, {(p, q): (window, overlap)} for p < q.
-
-    Relation and door detection read the same table, so each pair's boundary
-    rings are dilated once per derivation.
-    """
-    n = len(units)
-    return {
-        (p, q): _pair_overlap(units[p], units[q], shape, dilate_radius)
-        for p in range(n)
-        for q in range(p + 1, n)
+def _ring_boxes(unit: Unit, w: int, h: int, radius: int):
+    """The one-cell wall strips of an axis-aligned unit, in wall order +u,
+    -u, +v, -v, as end-exclusive boxes (x0, x1, y0, y1), each clipped to a
+    w x h frame, grown by radius and clipped again; their union is the
+    unit's boundary ring dilated on the frame. A strip off the frame is the
+    empty box (0, 0, 0, 0). ValueError for a rotated unit."""
+    spans = _unit_spans(unit, 1.0)
+    if spans is None:
+        raise ValueError(f"unit {unit.uid} is not axis-aligned")
+    ix0, ix1, iy0, iy1 = spans[0]
+    if ix0 > ix1 or iy0 > iy1:
+        return ((0, 0, 0, 0),) * 4
+    # a one-cell strip is the footprint's outermost column or row on the
+    # side its wall normal points to
+    strips = {
+        (1, 0): (ix1, ix1, iy0, iy1),
+        (-1, 0): (ix0, ix0, iy0, iy1),
+        (0, 1): (ix0, ix1, iy1, iy1),
+        (0, -1): (ix0, ix1, iy0, iy0),
     }
+    c, s = _cos_sin(unit.angle)
+    boxes = []
+    for normal in ((c, s), (-c, -s), (-s, c), (s, -c)):
+        x0, x1, y0, y1 = _clip_box(strips[normal], w, h)
+        if x0 < x1 and y0 < y1:
+            boxes.append((max(x0 - radius, 0), min(x1 + radius, w), max(y0 - radius, 0), min(y1 + radius, h)))
+        else:
+            boxes.append((0, 0, 0, 0))
+    return tuple(boxes)
+
+
+@functools.lru_cache(maxsize=SPAN_CACHE_SIZE)
+def _ring_overlap(a: Unit, b: Unit, w: int, h: int, radius: int):
+    """Where the boundary rings of the axis-aligned units a and b, each
+    dilated by radius on a w x h frame, meet: (cells, walls_a, walls_b,
+    rects) with the number of shared cells, the shared cells inside each
+    wall's dilated strip in wall order, and the end-exclusive elementary
+    rectangles (x0, x1, y0, y1) that tile the shared cells. ValueError for
+    a rotated unit."""
+    boxes = np.array(_ring_boxes(a, w, h, radius) + _ring_boxes(b, w, h, radius))
+    xs = np.unique(boxes[:, :2])
+    ys = np.unique(boxes[:, 2:])
+    # elementary rectangle (j, i) spans [xs[i], xs[i+1]) x [ys[j], ys[j+1])
+    # and lies wholly inside or wholly outside each box
+    in_x = (boxes[:, :1] <= xs[:-1]) & (xs[:-1] < boxes[:, 1:2])
+    in_y = (boxes[:, 2:3] <= ys[:-1]) & (ys[:-1] < boxes[:, 3:])
+    inside = in_y[:, :, None] & in_x[:, None, :]
+    shared = inside[:4].any(axis=0) & inside[4:].any(axis=0)
+    cells = np.diff(ys)[:, None] * np.diff(xs) * shared
+    walls = (inside * cells).sum(axis=(1, 2)).tolist()
+    jy, ix = np.nonzero(shared)
+    rects = tuple(zip(xs[ix].tolist(), xs[ix + 1].tolist(), ys[jy].tolist(), ys[jy + 1].tolist()))
+    return int(cells.sum()), tuple(walls[:4]), tuple(walls[4:]), rects
 
 
 def detect_relations(
@@ -550,39 +530,40 @@ def detect_relations(
     shape,
     dilate_radius: int = 3,
     min_overlap_cells: int = 4,
-    overlaps=None,
 ) -> np.ndarray:
     """Adjacency matrix from dilated-wall overlap.
 
     r[p, q] is True iff the dilated boundary rings of units p and q share at
-    least min_overlap_cells raster cells. Symmetric with a False diagonal.
-    ``overlaps`` is the pair_overlaps table, computed here when not given.
+    least min_overlap_cells cells of the frame. Symmetric with a False
+    diagonal. Units must be axis-aligned (ValueError otherwise).
     """
     if len(units) < 1:
         raise ValueError("need at least one unit")
-    if overlaps is None:
-        overlaps = pair_overlaps(units, shape, dilate_radius)
+    h, w = shape
     n = len(units)
     rel = np.zeros((n, n), dtype=bool)
-    for (p, q), (_, overlap) in overlaps.items():
-        if overlap is not None and int(overlap.sum()) >= min_overlap_cells:
-            rel[p, q] = rel[q, p] = True
+    for p in range(n):
+        for q in range(p + 1, n):
+            cells = _ring_overlap(units[p], units[q], w, h, dilate_radius)[0]
+            if cells and cells >= min_overlap_cells:
+                rel[p, q] = rel[q, p] = True
     return rel
 
 
 def wall_length_difference(a: Unit, b: Unit, shape, dilate_radius: int = 3, min_overlap_cells: int = 1):
-    """Compare the walls joining units a and b.
+    """Compare the walls joining the axis-aligned units a and b.
 
     Returns (len_a, len_b, d) where each length is the full side length (in
-    cells) of the wall whose dilated band carries the a-b ring overlap, and
-    d = |len_a - len_b|; None when the rings share fewer than
-    min_overlap_cells cells.
+    cells) of the wall whose dilated strip carries the most of the a-b ring
+    overlap, the first such wall in order +u, -u, +v, -v, and d = |len_a -
+    len_b|; None when the rings share fewer than min_overlap_cells cells.
     """
-    win, overlap = _pair_overlap(a, b, shape, dilate_radius)
-    if overlap is None or int(overlap.sum()) < min_overlap_cells:
+    h, w = shape
+    cells, walls_a, walls_b, _ = _ring_overlap(a, b, w, h, dilate_radius)
+    if not cells or cells < min_overlap_cells:
         return None
-    len_a = _best_wall_length(a, win, overlap, dilate_radius)
-    len_b = _best_wall_length(b, win, overlap, dilate_radius)
+    len_a = a.wall_length(walls_a.index(max(walls_a)))
+    len_b = b.wall_length(walls_b.index(max(walls_b)))
     return len_a, len_b, abs(len_a - len_b)
 
 
@@ -597,26 +578,6 @@ def connecting_wall_lengths(world: World, p: int, q: int, shape, dilate_radius: 
     return lengths
 
 
-def _best_wall_length(unit: Unit, window, overlap: np.ndarray, radius: int) -> float:
-    du, dv = _local_coords(unit, window)
-    adu, adv = np.abs(du), np.abs(dv)
-    inside = (adu <= unit.hu) & (adv <= unit.hv)
-    best_wall, best_count = 0, -1
-    for wall in range(4):
-        if wall == 0:
-            band = inside & (du > unit.hu - 1.0)
-        elif wall == 1:
-            band = inside & (du < -(unit.hu - 1.0))
-        elif wall == 2:
-            band = inside & (dv > unit.hv - 1.0)
-        else:
-            band = inside & (dv < -(unit.hv - 1.0))
-        count = int((dilate(band, radius) & overlap).sum())
-        if count > best_count:
-            best_wall, best_count = wall, count
-    return unit.wall_length(best_wall)
-
-
 def detect_doors(
     units,
     relations: np.ndarray,
@@ -627,19 +588,15 @@ def detect_doors(
     dilate_radius: int = 3,
     occupied_frac: float = 0.2,
     free_frac: float = 0.25,
-    overlaps=None,
 ):
     """Find free openings on the shared-wall bands of adjacent pairs.
 
-    The band is the overlap of the pair's dilated boundary rings, read from
-    the pair_overlaps table (computed here when not given). Scanning along
-    the band's long axis, a position is open when its cross-section is
-    mostly free of occupied cells; maximal open runs with length within
+    The band is the overlap of the pair's dilated boundary rings. Scanning
+    along the band's long axis, a position is open when its cross-section
+    is mostly free of occupied cells; maximal open runs with length within
     [min_width, max_width] become doors.
     """
-    shape = input_grid.states.shape
-    if overlaps is None:
-        overlaps = pair_overlaps(units, shape, dilate_radius)
+    h, w = input_grid.states.shape
     doors = []
     n = len(units)
     carve_halfwidth = wall_thickness + 1.0
@@ -647,46 +604,36 @@ def detect_doors(
         for q in range(p + 1, n):
             if not relations[p, q]:
                 continue
-            win, overlap = overlaps[p, q]
-            if overlap is None:
+            rects = _ring_overlap(units[p], units[q], w, h, dilate_radius)[3]
+            if not rects:
                 continue
-            x0, y0, x1, y1 = win
+            x0, x1 = min(r[0] for r in rects), max(r[1] for r in rects)
+            y0, y1 = min(r[2] for r in rects), max(r[3] for r in rects)
+            overlap = np.zeros((y1 - y0, x1 - x0), dtype=bool)
+            for rx0, rx1, ry0, ry1 in rects:
+                overlap[ry0 - y0 : ry1 - y0, rx0 - x0 : rx1 - x0] = True
             inp = input_grid.states[y0:y1, x0:x1]
-            ys, xs = np.nonzero(overlap)
-            horizontal = (xs.max() - xs.min()) >= (ys.max() - ys.min())
+            horizontal = x1 - x0 >= y1 - y0
+            # columns run along the band from index origin, rows across it from across0
             if horizontal:
-                axis_vals, across = xs, ys
+                origin, across0 = x0, y0
             else:
-                axis_vals, across = ys, xs
-            lo, hi = int(axis_vals.min()), int(axis_vals.max())
-            open_at = np.zeros(hi - lo + 1, dtype=bool)
-            center = np.zeros(hi - lo + 1)
-            for a in range(lo, hi + 1):
-                sel = axis_vals == a
-                if not sel.any():
-                    continue
-                cells = across[sel]
-                if horizontal:
-                    col = inp[cells, a]
-                else:
-                    col = inp[a, cells]
-                total = col.size
-                n_occ = int(np.count_nonzero(col == CellState.OCCUPIED))
-                n_free = int(np.count_nonzero(col == CellState.FREE))
-                open_at[a - lo] = (n_occ <= occupied_frac * total) and (
-                    n_free >= free_frac * total
-                )
-                center[a - lo] = cells.mean() + 0.5  # continuous across-coord
+                overlap, inp, origin, across0 = overlap.T, inp.T, y0, x0
+            total = overlap.sum(axis=0)
+            n_occ = (overlap & (inp == CellState.OCCUPIED)).sum(axis=0)
+            n_free = (overlap & (inp == CellState.FREE)).sum(axis=0)
+            open_at = (total > 0) & (n_occ <= occupied_frac * total) & (n_free >= free_frac * total)
+            across = np.arange(across0, across0 + overlap.shape[0])
+            # mean across-index of each position's cells, as a continuous coordinate
+            center = (overlap * across[:, None]).sum(axis=0) / np.maximum(total, 1) + 0.5
             for start, stop in _runs(open_at):
                 width = float(stop - start)
                 if min_width <= width <= max_width:
                     mid = float(center[start:stop].mean())
                     if horizontal:
-                        p0 = (x0 + lo + start, y0 + mid)
-                        p1 = (x0 + lo + stop, y0 + mid)
+                        p0, p1 = (origin + start, mid), (origin + stop, mid)
                     else:
-                        p0 = (x0 + mid, y0 + lo + start)
-                        p1 = (x0 + mid, y0 + lo + stop)
+                        p0, p1 = (mid, origin + start), (mid, origin + stop)
                     doors.append(
                         Door(units[p].uid, units[q].uid, p0, p1, width, carve_halfwidth)
                     )
@@ -903,49 +850,90 @@ def _component_to_dict(c: Component) -> dict:
     }
 
 
+def _number(value, what: str, integer: bool = False):
+    """value when it is a finite JSON number (an integer when integer is
+    set); ValueError otherwise."""
+    if integer:
+        ok = isinstance(value, int)
+    else:
+        ok = isinstance(value, (int, float)) and math.isfinite(value)
+    if isinstance(value, bool) or not ok:
+        raise ValueError(f"{what} must be {'an integer' if integer else 'a finite number'}, not {value!r}")
+    return value
+
+
+def _numbers(value, n: int, what: str, integer: bool = False) -> tuple:
+    """A JSON list of n numbers as a tuple; ValueError otherwise."""
+    if not isinstance(value, list) or len(value) != n:
+        raise ValueError(f"{what} must be a list of {n} numbers, not {value!r}")
+    return tuple(_number(v, what, integer) for v in value)
+
+
+def _records(value, what: str) -> list:
+    """A JSON list of objects; ValueError otherwise."""
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise ValueError(f"{what} must be a list of objects")
+    return value
+
+
 def world_from_dict(doc: dict) -> World:
+    """The World of a world.json document. A document of the wrong shape or
+    with a field of the wrong type raises ValueError, a missing field
+    KeyError."""
+    if not isinstance(doc, dict):
+        raise ValueError("a world document must be a JSON object")
     if doc.get("version") != WORLD_SCHEMA_VERSION:
         raise ValueError(f"unsupported world schema version {doc.get('version')}")
-    units = tuple(
-        Unit(
-            uid=u["id"],
-            cx=u["center"][0],
-            cy=u["center"][1],
-            hu=u["half_extent"][0],
-            hv=u["half_extent"][1],
-            angle=u["angle"],
-        )
-        for u in doc["units"]
-    )
-    types = tuple(
-        UnitType[u["type"].upper()] if u.get("type") else UnitType.OTHER
-        for u in doc["units"]
-    )
+    units, types = [], []
+    for u in _records(doc["units"], "units"):
+        cx, cy = _numbers(u["center"], 2, "unit center")
+        hu, hv = _numbers(u["half_extent"], 2, "unit half_extent")
+        units.append(Unit(_number(u["id"], "unit id", True), cx, cy, hu, hv, _number(u["angle"], "unit angle")))
+        name = u.get("type")
+        if name is not None and not isinstance(name, str):
+            raise ValueError(f"unit type must be a string, not {name!r}")
+        types.append(UnitType[name.upper()] if name else UnitType.OTHER)
     relations = None
-    if doc.get("relations") is not None:
-        relations = np.array(doc["relations"], dtype=bool)
+    rows = doc.get("relations")
+    if rows is not None:
+        n = len(units)
+        if not (
+            isinstance(rows, list)
+            and len(rows) == n
+            and all(isinstance(r, list) and len(r) == n and all(isinstance(v, int) for v in r) for r in rows)
+        ):
+            raise ValueError(f"relations must be a {n} x {n} matrix of 0/1 entries")
+        relations = np.array(rows, dtype=bool)
     doors = tuple(
-        Door(d["units"][0], d["units"][1], tuple(d["p0"]), tuple(d["p1"]), d["width"])
-        for d in doc.get("doors", [])
+        Door(
+            *_numbers(d["units"], 2, "door units", True),
+            _numbers(d["p0"], 2, "door p0"),
+            _numbers(d["p1"], 2, "door p1"),
+            _number(d["width"], "door width"),
+        )
+        for d in _records(doc.get("doors", []), "doors")
     )
-    objects = tuple(_component_from_dict(c) for c in doc.get("objects", []))
-    unexplored = tuple(_component_from_dict(c) for c in doc.get("unexplored", []))
+    objects = tuple(_component_from_dict(c) for c in _records(doc.get("objects", []), "objects"))
+    unexplored = tuple(_component_from_dict(c) for c in _records(doc.get("unexplored", []), "unexplored"))
+    resolution = _number(doc.get("resolution", 0.05), "resolution")
+    if resolution <= 0:
+        raise ValueError(f"resolution must be positive, not {resolution!r}")
     return World(
-        units=units,
-        types=types,
+        units=tuple(units),
+        types=tuple(types),
         relations=relations,
         doors=doors,
         objects=objects,
         unexplored=unexplored,
-        resolution=doc.get("resolution", 0.05),
+        resolution=resolution,
     )
 
 
 def _component_from_dict(d: dict) -> Component:
     return Component(
-        ident=d["id"],
-        unit_uid=d["unit"],
-        cells=d["cells"],
-        bbox=tuple(d["bbox"]),
-        centroid=tuple(d["centroid"]),
+        ident=_number(d["id"], "component id", True),
+        unit_uid=_number(d["unit"], "component unit", True),
+        cells=_number(d["cells"], "component cells", True),
+        bbox=_numbers(d["bbox"], 4, "component bbox", True),
+        centroid=_numbers(d["centroid"], 2, "component centroid"),
     )

@@ -61,6 +61,15 @@ def test_synth_spec_file_and_invalid(tmp_path):
     assert main(["synth", str(p), "--out", str(tmp_path / "s2")]) == 2
 
 
+@pytest.mark.parametrize("doc", [[1, 2], "floor", None], ids=["list", "string", "null"])
+def test_synth_spec_not_an_object_exit_2(tmp_path, capsys, doc):
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(doc))
+    assert main(["synth", str(p), "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0]
+
+
 def test_infer_writes_artifacts(tmp_path, demo_pgm, capsys):
     pgm, _ = demo_pgm
     out = tmp_path / "out"
@@ -244,6 +253,34 @@ def test_eval_full_map_roi_warning(tmp_path, demo_pgm, capsys):
 def test_eval_missing_world_exit_1(tmp_path, demo_pgm):
     pgm, _ = demo_pgm
     assert main(["eval", str(tmp_path / "nope.json"), pgm]) == 1
+
+
+def _with_unit_center(doc, center):
+    units = [dict(doc["units"][0], center=center)] + doc["units"][1:]
+    return dict(doc, units=units)
+
+
+@pytest.mark.parametrize(
+    "which, edit",
+    [
+        pytest.param("world", lambda doc: [], id="world_not_an_object"),
+        pytest.param("world", lambda doc: dict(doc, doors=[{"units": [0]}]), id="door_with_one_unit"),
+        pytest.param("world", lambda doc: _with_unit_center(doc, "ab"), id="unit_center_string"),
+        pytest.param("world", lambda doc: dict(doc, relations=[[1]]), id="relations_not_units_by_units"),
+        pytest.param("truth", lambda doc: [], id="truth_not_an_object"),
+    ],
+)
+def test_eval_malformed_world_exit_1(tmp_path, demo_pgm, capsys, which, edit):
+    pgm, truth_path = demo_pgm
+    with open(truth_path, encoding="utf-8") as fh:
+        bad = edit(json.load(fh))
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(bad))
+    world, truth = (bad_path, truth_path) if which == "world" else (truth_path, bad_path)
+    rc = main(["eval", str(world), pgm, "--roi", "10", "10", "350", "130", "--truth", str(truth)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0]
 
 
 def test_mln_hard_evidence_query(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import TWO_ROOMS_A, TWO_ROOMS_H, TWO_ROOMS_R1, TWO_ROOMS_R3, build_two_rooms_map, floor_spec
 
-import semmap.world as world_mod
 from semmap.config import RunConfig
 from semmap.errors import EmptyMap, NotApplicable
 from semmap.evaluation import generate_synthetic
@@ -14,7 +13,6 @@ from semmap.mcmc import (
     Chain,
     KernelKind,
     apply_kernel,
-    derive_semantics,
     derive_world,
     interchange_candidates,
     merge_units,
@@ -418,22 +416,6 @@ def test_refresh_and_derive_world_agree(fixture):
     assert chain.types == {u.uid: t for u, t in zip(world.units, world.types)}
 
 
-def test_derive_semantics_builds_each_pair_overlap_once(monkeypatch):
-    units, grid = _floor_units_and_grid()
-    calls = []
-    real = world_mod._pair_overlap
-
-    def counting(a, b, *args):
-        calls.append((a.uid, b.uid))
-        return real(a, b, *args)
-
-    monkeypatch.setattr(world_mod, "_pair_overlap", counting)
-    sem = derive_semantics(units, grid, small_config(), hard_rules(), True, seed=lambda: 0)
-    n = len(units)
-    assert len(calls) == len(set(calls)) == n * (n - 1) // 2
-    assert sem.doors
-
-
 def test_chain_prior_equals_log_prior():
     units, grid = _two_rooms_units_and_grid()
     chain = _chain_at(units, grid)
@@ -446,34 +428,6 @@ def test_chain_prior_equals_log_prior():
     expected = log_prior(world, chain.sale, cfg.prior_config(), shape, cfg.dilate_radius, strict=False)
     assert expected < 0.0
     assert chain._prior_value(chain.units) == expected
-
-
-def test_wall_diff_cache_is_kept_across_rescoring_and_bounded(monkeypatch):
-    import semmap.mcmc as mcmc_mod
-
-    units, grid = _two_rooms_units_and_grid()
-    chain = _chain_at(units, grid)
-    calls = []
-    real = mcmc_mod.wall_length_difference
-
-    def counting(a, b, *args):
-        calls.append((a, b))
-        return real(a, b, *args)
-
-    monkeypatch.setattr(mcmc_mod, "wall_length_difference", counting)
-    chain._wall_diff_cache.clear()
-    value = chain._prior_value(chain.units)
-    assert value < 0.0 and calls
-    first = len(calls)
-    chain._rescore_full()
-    assert chain._prior_value(chain.units) == value
-    assert len(calls) == first  # the differences depend on geometry only
-    monkeypatch.setattr(mcmc_mod, "WALL_DIFF_CACHE_SIZE", 2)
-    for step in range(1, 4):
-        a = chain.units[1]
-        moved = Unit(a.uid, a.cx, a.cy + step, a.hu, a.hv + step)
-        chain._prior_value(chain.units[:1] + (moved,) + chain.units[2:])
-        assert len(chain._wall_diff_cache) <= 2
 
 
 def test_world_classifies_only_untyped_units(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from semmap.config import RunConfig, load_config, parse_config_text
 from semmap.errors import ConfigError
 from semmap.mln import hard_rules
-from semmap.world import Unit, detect_relations, world_from_dict
+from semmap.world import Unit, detect_relations, qcoord, world_from_dict
 
 
 def test_relations_symmetric_over_1000_random_layouts():
@@ -22,13 +22,16 @@ def test_relations_symmetric_over_1000_random_layouts():
                 float(rng.uniform(8, 52)),
                 float(rng.uniform(3, 14)),
                 float(rng.uniform(3, 14)),
-                float(rng.uniform(0, np.pi)) if rng.integers(4) == 0 else 0.0,
+                # the angles the chain gives its units
+                qcoord(np.pi / 2) if rng.integers(4) == 0 else 0.0,
             )
             for i in range(n)
         ]
         rel = detect_relations(units, (60, 90))
         assert np.array_equal(rel, rel.T)
         assert not rel.diagonal().any()
+    with pytest.raises(ValueError):
+        detect_relations([Unit(0, 30.0, 30.0, 8.0, 8.0), Unit(1, 44.0, 30.0, 8.0, 8.0, 1.0)], (60, 90))
 
 
 def test_config_rules_file_plumbs_through(tmp_path):

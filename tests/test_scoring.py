@@ -30,7 +30,6 @@ from semmap.world import (
     detect_relations,
     qcoord,
     rasterize,
-    rasterize_window,
 )
 
 
@@ -517,13 +516,6 @@ def _random_world(rng, shape):
     return World(units=tuple(units), types=types, doors=tuple(doors))
 
 
-def _random_window(rng, shape):
-    h, w = shape
-    x0, x1 = sorted(int(v) for v in rng.choice(w + 1, size=2, replace=False))
-    y0, y1 = sorted(int(v) for v in rng.choice(h + 1, size=2, replace=False))
-    return x0, y0, x1, y1
-
-
 @pytest.mark.parametrize("object_from_occupied", [True, False])
 def test_rasterize_and_terms_bit_exact_vs_reference(object_from_occupied):
     rng = np.random.default_rng(17 if object_from_occupied else 18)
@@ -538,38 +530,30 @@ def test_rasterize_and_terms_bit_exact_vs_reference(object_from_occupied):
         field = LikelihoodField(
             grid, tables, LikelihoodConfig(psi=psi), thickness, object_from_occupied
         )
-        full = (0, 0, shape[1], shape[0])
-        windows = [full] + [_random_window(rng, shape) for _ in range(3)]
-        for window in windows:
-            got = rasterize_window(
-                world.units, grid.states, window, thickness, world.doors, object_from_occupied
-            )
-            want = _ref_rasterize_window(
-                world.units, grid.states, window, thickness, world.doors, object_from_occupied
-            )
-            for g, r in zip(got, want):
-                assert g.dtype == r.dtype
-                assert np.array_equal(g, r)
-            x0, y0, x1, y1 = window
-            ref_terms = _ref_terms(
-                grid.states[y0:y1, x0:x1], *want, world, tables, math.log(psi)
-            )
-            if window == full:
-                assert field.full_rescore(world) == float(ref_terms.sum())
-                axis_aligned = all(u.angle in (0.0, math.pi / 2, math.pi) for u in world.units) and all(
-                    d.p0[0] == d.p1[0] or d.p0[1] == d.p1[1] for d in world.doors
-                )
-                if axis_aligned:
-                    assert abs(field.score(world) - float(ref_terms.sum())) <= 1e-9
-                    seen["scored"] += 1
-                else:
-                    with pytest.raises(ValueError):
-                        field.score(world)
-            no_doors = _ref_rasterize_window(
-                world.units, grid.states, window, thickness, (), object_from_occupied
-            )[0]
-            seen["carved"] += int(np.count_nonzero(no_doors != want[0]))
-            seen["overlap"] += int(np.count_nonzero(want[1] >= 2))
+        frame = (0, 0, shape[1], shape[0])
+        got = rasterize(world.units, grid, thickness, world.doors, object_from_occupied)
+        want = _ref_rasterize_window(
+            world.units, grid.states, frame, thickness, world.doors, object_from_occupied
+        )
+        for g, r in zip((got.states, got.membership, got.owner), want):
+            assert g.dtype == r.dtype
+            assert np.array_equal(g, r)
+        ref_terms = _ref_terms(grid.states, *want, world, tables, math.log(psi))
+        assert field.full_rescore(world) == float(ref_terms.sum())
+        axis_aligned = all(u.angle in (0.0, math.pi / 2, math.pi) for u in world.units) and all(
+            d.p0[0] == d.p1[0] or d.p0[1] == d.p1[1] for d in world.doors
+        )
+        if axis_aligned:
+            assert abs(field.score(world) - float(ref_terms.sum())) <= 1e-9
+            seen["scored"] += 1
+        else:
+            with pytest.raises(ValueError):
+                field.score(world)
+        no_doors = _ref_rasterize_window(
+            world.units, grid.states, frame, thickness, (), object_from_occupied
+        )[0]
+        seen["carved"] += int(np.count_nonzero(no_doors != want[0]))
+        seen["overlap"] += int(np.count_nonzero(want[1] >= 2))
         seen["rotated"] += sum(u.angle not in (0.0, math.pi / 2, math.pi) for u in world.units)
         seen["corridor"] += sum(t == UnitType.CORRIDOR for t in world.types)
     assert all(count > 0 for count in seen.values()), seen

@@ -15,8 +15,11 @@ from semmap.world import (
     UnitType,
     World,
     WorldCell,
+    _local_coords,
     _nearest_unit_uid,
+    _ring_overlap,
     _unit_spans,
+    _wall_band_in_window,
     abstract_graph,
     classify_geometry,
     connecting_wall_lengths,
@@ -27,6 +30,7 @@ from semmap.world import (
     footprint_mask,
     qcoord,
     rasterize,
+    wall_length_difference,
     world_from_dict,
     world_to_dict,
 )
@@ -132,6 +136,139 @@ def test_relations_symmetric_false_diagonal(layout):
     rel = detect_relations(units, (70, 90))
     assert np.array_equal(rel, rel.T)
     assert not rel.diagonal().any()
+
+
+def test_relations_count_ring_cells_on_the_whole_frame():
+    # a four-cell gap: the dilated rings meet in two columns of 26 cells
+    a, b = Unit(0, 20.0, 25.0, 10.0, 10.0), Unit(1, 44.0, 25.0, 10.0, 10.0)
+    assert detect_relations([a, b], (60, 90), dilate_radius=3)[0, 1]
+    assert wall_length_difference(a, b, (60, 90), dilate_radius=3, min_overlap_cells=52) == (20.0, 20.0, 0.0)
+    assert wall_length_difference(a, b, (60, 90), dilate_radius=3, min_overlap_cells=53) is None
+
+
+def _ref_rings(unit, shape, radius):
+    """The full-frame masks of a unit's dilated boundary ring and of its
+    dilated wall strips in wall order +u, -u, +v, -v."""
+    frame = (0, 0, shape[1], shape[0])
+    du, dv = _local_coords(unit, frame)
+    inside = (np.abs(du) <= unit.hu) & (np.abs(dv) <= unit.hv)
+    walls = (
+        inside & (du > unit.hu - 1.0),
+        inside & (du < -(unit.hu - 1.0)),
+        inside & (dv > unit.hv - 1.0),
+        inside & (dv < -(unit.hv - 1.0)),
+    )
+    ring = dilate(_wall_band_in_window(unit, frame, 1.0)[1], radius)
+    return ring, [dilate(wall, radius) for wall in walls]
+
+
+def _ref_doors(a, b, overlap, grid, min_width, max_width, carve_halfwidth, occupied_frac=0.2, free_frac=0.25):
+    """Doors of one related pair by a per-position scan of its full-frame
+    ring overlap."""
+    ys, xs = np.nonzero(overlap)
+    if not xs.size:
+        return []
+    horizontal = (xs.max() - xs.min()) >= (ys.max() - ys.min())
+    axis_vals, across = (xs, ys) if horizontal else (ys, xs)
+    lo, hi = int(axis_vals.min()), int(axis_vals.max())
+    open_at = np.zeros(hi - lo + 1, dtype=bool)
+    center = np.zeros(hi - lo + 1)
+    for pos in range(lo, hi + 1):
+        sel = axis_vals == pos
+        if not sel.any():
+            continue
+        cells = across[sel]
+        col = grid.states[cells, pos] if horizontal else grid.states[pos, cells]
+        n_occ = int(np.count_nonzero(col == CellState.OCCUPIED))
+        n_free = int(np.count_nonzero(col == CellState.FREE))
+        open_at[pos - lo] = n_occ <= occupied_frac * col.size and n_free >= free_frac * col.size
+        center[pos - lo] = cells.mean() + 0.5
+    doors, start = [], None
+    for i, flag in enumerate(list(open_at) + [False]):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            width = float(i - start)
+            if min_width <= width <= max_width:
+                mid = float(center[start:i].mean())
+                ends = (lo + start, lo + i)
+                p0, p1 = ((ends[0], mid), (ends[1], mid)) if horizontal else ((mid, ends[0]), (mid, ends[1]))
+                doors.append(Door(a.uid, b.uid, p0, p1, width, carve_halfwidth))
+            start = None
+    return doors
+
+
+def _random_axis_aligned_unit(rng, uid, near, shape):
+    """Half-integer-grid unit, axis-aligned or turned by pi/2, some thinner
+    than a cell or reaching past the frame; near another unit when given."""
+    h, w = shape
+    if near is None:
+        cx, cy = float(rng.integers(-16, 4 * w + 16)) / 4.0, float(rng.integers(-16, 4 * h + 16)) / 4.0
+    else:
+        cx = near.cx + float(rng.integers(-100, 101)) / 4.0
+        cy = near.cy + float(rng.integers(-100, 101)) / 4.0
+    hu, hv = (float(rng.integers(1, 61)) / 4.0 for _ in range(2))
+    if rng.random() < 0.15:
+        hu = float(rng.integers(1, 6)) / 4.0
+    angle = qcoord(math.pi / 2) if rng.random() < 0.3 else 0.0
+    return Unit(uid, cx, cy, hu, hv, angle)
+
+
+def test_pair_geometry_equals_full_frame_masks_on_random_pairs():
+    rng = np.random.default_rng(23)
+    shape = (40, 56)
+    h, w = shape
+    states = np.full(shape, CellState.FREE, dtype=np.int8)
+    noise = rng.random(shape)
+    states[noise < 0.25] = CellState.OCCUPIED
+    states[noise > 0.9] = CellState.UNKNOWN
+    grid = ClassifiedGrid(states)
+    seen = {"overlap": 0, "related": 0, "doors": 0, "turned": 0, "thin": 0, "edge": 0, "radius0": 0}
+    for i in range(2000):
+        radius = int(rng.integers(0, 4))
+        a = _random_axis_aligned_unit(rng, 0, None, shape)
+        b = _random_axis_aligned_unit(rng, 1, a, shape)
+        ring_a, walls_a = _ref_rings(a, shape, radius)
+        ring_b, walls_b = _ref_rings(b, shape, radius)
+        overlap = ring_a & ring_b
+        cells = int(overlap.sum())
+        counts = tuple(int((wall & overlap).sum()) for wall in walls_a + walls_b)
+        assert _ring_overlap(a, b, w, h, radius)[:3] == (cells, counts[:4], counts[4:]), (a, b, radius)
+
+        rel = detect_relations([a, b], shape, dilate_radius=radius)
+        assert rel[0, 1] == rel[1, 0] == (cells >= 4)
+        want = None
+        if cells:
+            len_a = a.wall_length(int(np.argmax(counts[:4])))
+            len_b = b.wall_length(int(np.argmax(counts[4:])))
+            want = (len_a, len_b, abs(len_a - len_b))
+        assert wall_length_difference(a, b, shape, dilate_radius=radius) == want
+
+        doors = detect_doors([a, b], rel, grid, 2, 12, dilate_radius=radius)
+        want_doors = _ref_doors(a, b, overlap, grid, 2, 12, 3.0) if rel[0, 1] else []
+        assert doors == want_doors
+        for d in doors:
+            assert all(type(v) in (int, float) for v in d.p0 + d.p1)
+
+        seen["overlap"] += cells > 0
+        seen["related"] += bool(rel[0, 1])
+        seen["doors"] += len(doors)
+        seen["turned"] += cells > 0 and (a.angle != 0.0 or b.angle != 0.0)
+        seen["thin"] += cells > 0 and min(a.hu, a.hv, b.hu, b.hv) < 1.0
+        seen["edge"] += cells > 0 and any(
+            u.cx - u.long < 0 or u.cy - u.long < 0 or u.cx + u.long > w or u.cy + u.long > h for u in (a, b)
+        )
+        seen["radius0"] += cells > 0 and radius == 0
+    assert seen["overlap"] >= 600 and all(count > 0 for count in seen.values()), seen
+
+
+def test_pair_geometry_rejects_rotated_units():
+    grid = uniform_grid((40, 60), CellState.FREE)
+    units = [Unit(0, 20.0, 20.0, 8.0, 8.0, 0.3), Unit(1, 36.0, 20.0, 8.0, 8.0)]
+    with pytest.raises(ValueError):
+        wall_length_difference(units[1], units[0], (40, 60))
+    with pytest.raises(ValueError):
+        detect_doors(units, np.ones((2, 2), dtype=bool), grid, 2, 12)
 
 
 # -- rasterize ---------------------------------------------------------------
