@@ -300,7 +300,7 @@ def cmd_synth(args) -> int:
                 speckle=doc.get("speckle", 0.0),
             )
         grid, truth = generate_synthetic(spec, seed=args.seed)
-    except (InvalidSpec, KeyError, ValueError, OSError) as exc:
+    except (InvalidSpec, KeyError, TypeError, ValueError, OSError) as exc:
         print(f"bad spec: {exc}", file=sys.stderr)
         return 2
     pixels = np.round((1.0 - grid.values) * 255.0).astype(np.uint8)

@@ -17,8 +17,8 @@ from .world import (
     World,
     WorldCell,
     WorldStateMap,
+    _unit_boxes,
     detect_relations,
-    footprint_mask,
 )
 
 # canonical input class per world state for the strict CPR variant
@@ -264,15 +264,17 @@ def _band_mask(h: int, w: int, t: int) -> np.ndarray:
 def topology_match(world: World, truth: World, shape, iou_threshold: float = 0.5) -> dict:
     """Greedy footprint matching (IoU >= threshold) followed by per-matched
     type accuracy and precision/recall/F1 over adjacency and door edge sets."""
-    pred_masks = [footprint_mask(u, shape) for u in world.units]
-    true_masks = [footprint_mask(u, shape) for u in truth.units]
+    h, w = shape
+    # footprint boxes, which do not depend on the wall thickness
+    pred_boxes = [_unit_boxes(u, 1.0, w, h)[0] for u in world.units]
+    true_boxes = [_unit_boxes(u, 1.0, w, h)[0] for u in truth.units]
     scored = []
-    for i, pm in enumerate(pred_masks):
-        for j, tm in enumerate(true_masks):
-            inter = int(np.count_nonzero(pm & tm))
+    for i, (ax0, ax1, ay0, ay1) in enumerate(pred_boxes):
+        for j, (bx0, bx1, by0, by1) in enumerate(true_boxes):
+            inter = max(min(ax1, bx1) - max(ax0, bx0), 0) * max(min(ay1, by1) - max(ay0, by0), 0)
             if inter == 0:
                 continue
-            union = int(np.count_nonzero(pm | tm))
+            union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
             iou = inter / union
             if iou >= iou_threshold:
                 scored.append((iou, i, j))

@@ -735,10 +735,7 @@ class Chain:
         proposed one, whose doors are those of the chain both of whose units
         survive; on acceptance the chain moves to that world. Returns
         True/False."""
-        # type for brand-new units defaults to their geometry class
-        for u in proposal.changed_new:
-            if u.uid not in self.types:
-                self.types[u.uid] = geometry_to_type(self._geometry_class(u))
+        # brand-new units take their geometry class as type in _world
         new_world = self._world(proposal.new_units)
         new_lik = self.scorer.score(new_world)
         new_prior = self._prior_value(proposal.new_units)
@@ -746,16 +743,11 @@ class Chain:
         log_alpha = delta_post + proposal.log_ratio
         accepted = log_alpha >= 0.0 or math.log(self.rng.random()) < log_alpha
         if not accepted:
-            self._drop_stale_types(proposal)
             return False
 
-        removed = {u.uid for u in proposal.changed_old} - {
-            u.uid for u in proposal.changed_new
-        }
         self.units = proposal.new_units
         self.doors = new_world.doors
-        if removed:
-            self.types = {k: v for k, v in self.types.items() if k not in removed}
+        self.types = {u.uid: t for u, t in zip(new_world.units, new_world.types)}
         if proposal.kind in (KernelKind.ADD, KernelKind.ALLOCATE, KernelKind.SPLIT, KernelKind.MERGE):
             self.next_uid = max([self.next_uid] + [u.uid + 1 for u in proposal.changed_new])
         self.log_lik = new_lik
@@ -766,12 +758,6 @@ class Chain:
             self.best_units = self.units
             self.best_types = dict(self.types)
         return True
-
-    def _drop_stale_types(self, proposal: Proposal):
-        alive = {u.uid for u in self.units}
-        for u in proposal.changed_new:
-            if u.uid not in alive and u.uid in self.types:
-                del self.types[u.uid]
 
     def step(self):
         """One iteration: sample a kernel, propose, decide, maybe refresh."""

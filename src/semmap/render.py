@@ -14,11 +14,11 @@ from .world import (
     AbstractGraph,
     World,
     WorldCell,
+    _paint_band,
+    _segment_mask,
+    _unit_boxes,
     detect_objects,
     rasterize,
-    unit_window,
-    _segment_mask,
-    _wall_band_in_window,
 )
 
 # the fixed overlay palette
@@ -154,18 +154,14 @@ def render_samples(input_grid: ClassifiedGrid, samples, path) -> dict:
         sample_units.append(tuple(s.units) if isinstance(s, World) else tuple(s))
     if not sample_units:
         raise ValueError("need at least one sample")
-    shape = input_grid.states.shape
+    h, w = shape = input_grid.states.shape
     rgb = _base_image(input_grid)
     union = np.zeros(shape, dtype=bool)
     per_sample = []
     for units in sample_units:
         outline = np.zeros(shape, dtype=bool)
         for u in units:
-            win = unit_window(u, shape)
-            if win[0] >= win[2] or win[1] >= win[3]:
-                continue
-            _, band = _wall_band_in_window(u, win, 1.0)
-            outline[win[1] : win[3], win[0] : win[2]] |= band
+            _paint_band(outline, _unit_boxes(u, 1.0, w, h))
         union |= outline
         per_sample.append(int(outline.sum()))
     rgb[union] = COLOR_SAMPLE

@@ -298,8 +298,8 @@ class LikelihoodField:
         self._max_units = n
 
     def score(self, world: World) -> float:
-        """Log-likelihood of a world whose units are axis-aligned and whose
-        doors are horizontal or vertical; ValueError for any other."""
+        """Log-likelihood of a world whose doors are horizontal or vertical;
+        ValueError for a slanted door."""
         h, w = self.shape
         n = world.n
         boxes = [_unit_boxes(u, self.wall_thickness, w, h) for u in world.units]

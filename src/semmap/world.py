@@ -3,9 +3,10 @@ into world-cell states, and the deterministic evidence extractors (geometry
 classification, adjacency, doors, objects, unexplored areas).
 
 Coordinates are continuous cell units: cell (ix, iy) spans [ix, ix+1) x
-[iy, iy+1) and its center sits at (ix+0.5, iy+0.5). A unit is an oriented
-rectangle given by center, half extents along its local axes and an angle in
-[0, pi). All geometry parameters are kept on a dyadic grid (multiples of
+[iy, iy+1) and its center sits at (ix+0.5, iy+0.5). A unit is an
+axis-aligned rectangle given by center, half extents along its local axes
+and an angle that is a multiple of pi/2 (an odd multiple swaps the local
+axes). All geometry parameters are kept on a dyadic grid (multiples of
 2**-20 cells) so that move/reverse-move arithmetic is exact in floats.
 """
 
@@ -39,9 +40,9 @@ def qcoord(x: float) -> float:
 
 
 def _cos_sin(angle: float):
-    """cos/sin with exact snapping near the axis directions, so rotations by
-    pi/2 rasterize identically to axis-aligned units. The snap covers the
-    dyadic grid's rounding, which leaves qcoord(pi/2) up to 2**-21 away."""
+    """cos/sin with exact snapping near the axis directions, so a unit at
+    pi/2 has exactly swapped axes. The snap covers the dyadic grid's
+    rounding, which leaves qcoord(pi/2) up to 2**-21 away."""
     c, s = math.cos(angle), math.sin(angle)
     if abs(c) < AXIS_SNAP:
         c = 0.0
@@ -82,8 +83,9 @@ class WorldCell(IntEnum):
 
 @dataclass(frozen=True)
 class Unit:
-    """Oriented rectangle: center (cx, cy), half extents (hu, hv) along the
-    local u/v axes, angle in radians."""
+    """Axis-aligned rectangle: center (cx, cy), half extents (hu, hv) along
+    the local u/v axes, and an angle in radians whose snapped cos/sin put
+    the u axis along x or y (ValueError for any other angle)."""
 
     uid: int
     cx: float
@@ -95,6 +97,8 @@ class Unit:
     def __post_init__(self):
         if self.hu <= 0 or self.hv <= 0:
             raise ValueError("half extents must be positive")
+        if self.angle != 0.0 and 0.0 not in _cos_sin(self.angle):
+            raise ValueError(f"unit {self.uid} is not axis-aligned: angle {self.angle!r}")
 
     @property
     def long(self) -> float:
@@ -135,26 +139,6 @@ class Unit:
     def wall_length(self, wall: int) -> float:
         """Length of wall 0..3 = (+u, -u, +v, -v)."""
         return 2.0 * (self.hv if wall < 2 else self.hu)
-
-    def wall_segment(self, wall: int):
-        """Endpoints of a wall edge in continuous coordinates."""
-        (ux, uy), (vx, vy) = self.axes()
-        if wall == 0:
-            mid = (self.cx + self.hu * ux, self.cy + self.hu * uy)
-            d, h = (vx, vy), self.hv
-        elif wall == 1:
-            mid = (self.cx - self.hu * ux, self.cy - self.hu * uy)
-            d, h = (vx, vy), self.hv
-        elif wall == 2:
-            mid = (self.cx + self.hv * vx, self.cy + self.hv * vy)
-            d, h = (ux, uy), self.hu
-        else:
-            mid = (self.cx - self.hv * vx, self.cy - self.hv * vy)
-            d, h = (ux, uy), self.hu
-        return (
-            (mid[0] - h * d[0], mid[1] - h * d[1]),
-            (mid[0] + h * d[0], mid[1] + h * d[1]),
-        )
 
 
 @dataclass(frozen=True)
@@ -251,54 +235,6 @@ def geometry_to_type(g: GeometryClass) -> UnitType:
 # rasterization
 
 
-def clip_window(x0, y0, x1, y1, shape):
-    h, w = shape
-    return (max(0, x0), max(0, y0), min(w, x1), min(h, y1))
-
-
-def unit_window(unit: Unit, shape, margin: int = 0):
-    """Integer cell window (x0, y0, x1, y1), end-exclusive, clipped to shape."""
-    ax0, ay0, ax1, ay1 = unit.aabb()
-    return clip_window(
-        int(math.floor(ax0)) - margin,
-        int(math.floor(ay0)) - margin,
-        int(math.ceil(ax1)) + 1 + margin,
-        int(math.ceil(ay1)) + 1 + margin,
-        shape,
-    )
-
-
-def _local_coords(unit: Unit, window):
-    x0, y0, x1, y1 = window
-    xs = np.arange(x0, x1, dtype=np.float64) + 0.5 - unit.cx
-    ys = np.arange(y0, y1, dtype=np.float64) + 0.5 - unit.cy
-    c, s = _cos_sin(unit.angle)
-    du = xs[None, :] * c + ys[:, None] * s
-    dv = -xs[None, :] * s + ys[:, None] * c
-    return du, dv
-
-
-def footprint_in_window(unit: Unit, window):
-    du, dv = _local_coords(unit, window)
-    return (np.abs(du) <= unit.hu) & (np.abs(dv) <= unit.hv)
-
-
-def footprint_mask(unit: Unit, shape) -> np.ndarray:
-    mask = np.zeros(shape, dtype=bool)
-    win = unit_window(unit, shape)
-    if win[0] < win[2] and win[1] < win[3]:
-        mask[win[1] : win[3], win[0] : win[2]] = footprint_in_window(unit, win)
-    return mask
-
-
-def _wall_band_in_window(unit: Unit, window, thickness: float):
-    du, dv = _local_coords(unit, window)
-    adu, adv = np.abs(du), np.abs(dv)
-    inside = (adu <= unit.hu) & (adv <= unit.hv)
-    band = inside & ((adu > unit.hu - thickness) | (adv > unit.hv - thickness))
-    return inside, band
-
-
 def _segment_mask(p0, p1, halfwidth: float, window):
     """Cells of the window whose centers lie within halfwidth of the
     segment p0-p1 (measured perpendicular to it, between its end points)."""
@@ -346,35 +282,28 @@ def _cell_span(center: float, extent: float):
 
 @functools.lru_cache(maxsize=SPAN_CACHE_SIZE)
 def _unit_spans(unit: Unit, thickness: float):
-    """The unclipped cell ranges of an axis-aligned unit: (ix0, ix1, iy0,
-    iy1) of its footprint and (jx0, jx1, jy0, jy1) of the interior inside
-    its wall band, the latter None when the band fills the footprint; None
-    for a rotated unit, which rasterization takes along the general path."""
-    c, s = _cos_sin(unit.angle)
-    if s == 0.0 and abs(c) == 1.0:
-        ex, ey = unit.hu, unit.hv
-    elif c == 0.0 and abs(s) == 1.0:
-        ex, ey = unit.hv, unit.hu
-    else:
-        return None
+    """The unclipped cell ranges of a unit: (ix0, ix1, iy0, iy1) of its
+    footprint and (jx0, jx1, jy0, jy1) of the interior inside its wall band,
+    the latter None when the band fills the footprint. A cell is on the
+    band when its center lies within thickness of an edge, so a half extent
+    of exactly thickness leaves the center cells open."""
+    c, _ = _cos_sin(unit.angle)
+    ex, ey = (unit.hv, unit.hu) if c == 0.0 else (unit.hu, unit.hv)
     outer = _cell_span(unit.cx, ex) + _cell_span(unit.cy, ey)
-    inner = _cell_span(unit.cx, max(ex - thickness, 0.0)) + _cell_span(
-        unit.cy, max(ey - thickness, 0.0)
-    )
-    if inner[0] > inner[1] or inner[2] > inner[3] or ex <= thickness or ey <= thickness:
-        inner = None
+    inner = None
+    if ex >= thickness and ey >= thickness:
+        inner = _cell_span(unit.cx, ex - thickness) + _cell_span(unit.cy, ey - thickness)
+        if inner[0] > inner[1] or inner[2] > inner[3]:
+            inner = None
     return outer, inner
 
 
 @functools.lru_cache(maxsize=SPAN_CACHE_SIZE)
 def _unit_boxes(unit, thickness: float, w: int, h: int):
-    """The end-exclusive cell boxes (x0, x1, y0, y1) of an axis-aligned
-    unit's footprint and, when it has one, of its interior inside the wall
-    band, clipped to a w x h frame; ValueError for a rotated unit."""
-    spans = _unit_spans(unit, thickness)
-    if spans is None:
-        raise ValueError(f"unit {unit.uid} is not axis-aligned")
-    return tuple(_clip_box(box, w, h) for box in spans if box is not None)
+    """The end-exclusive cell boxes (x0, x1, y0, y1) of a unit's footprint
+    and, when it has one, of its interior inside the wall band, clipped to
+    a w x h frame."""
+    return tuple(_clip_box(box, w, h) for box in _unit_spans(unit, thickness) if box is not None)
 
 
 def _clip_box(span, w: int, h: int):
@@ -384,27 +313,18 @@ def _clip_box(span, w: int, h: int):
     return min(max(x0, 0), w), min(max(x1 + 1, 0), w), min(max(y0, 0), h), min(max(y1 + 1, 0), h)
 
 
-def _paint_axis_aligned(uid, spans, membership, wall_any, owner):
-    """Slice-based painting of an axis-aligned unit, with its spans clipped
-    to the frame."""
-    h, w = membership.shape
-    outer, inner = spans
-    x0, x1, y0, y1 = _clip_box(outer, w, h)
-    if x0 >= x1 or y0 >= y1:
+def _paint_band(mask, boxes):
+    """Set the wall band of a unit in a frame-sized mask: its footprint box
+    less its interior box (boxes as _unit_boxes gives them)."""
+    x0, x1, y0, y1 = boxes[0]
+    if len(boxes) == 1:
+        mask[y0:y1, x0:x1] = True
         return
-    sl = (slice(y0, y1), slice(x0, x1))
-    membership[sl] += 1
-    owner[sl] = uid
-    if inner is not None:
-        jx0, jx1, jy0, jy1 = _clip_box(inner, w, h)
-    if inner is None or jx0 >= jx1 or jy0 >= jy1:
-        wall_any[sl] = True
-        return
-    # band strips: inside minus the inner rectangle
-    wall_any[y0:jy0, x0:x1] = True
-    wall_any[jy1:y1, x0:x1] = True
-    wall_any[y0:y1, x0:jx0] = True
-    wall_any[y0:y1, jx1:x1] = True
+    jx0, jx1, jy0, jy1 = boxes[1]
+    mask[y0:jy0, x0:x1] = True
+    mask[jy1:y1, x0:x1] = True
+    mask[y0:y1, x0:jx0] = True
+    mask[y0:y1, jx1:x1] = True
 
 
 _uid = operator.attrgetter("uid")
@@ -440,23 +360,19 @@ def rasterize(
     if wall_thickness < 1:
         raise ValueError("wall_thickness must be >= 1")
     h, w = input_grid.states.shape
-    frame = (0, 0, w, h)
     membership = np.zeros((h, w), dtype=np.int16)
     owner = np.full((h, w), -1, dtype=np.int32)
     wall_any = np.zeros((h, w), dtype=bool)
     # in descending uid order the last unit to paint a cell owns it
     for u in sorted(units, key=_uid, reverse=True):
-        spans = _unit_spans(u, wall_thickness)
-        if spans is not None:
-            _paint_axis_aligned(u.uid, spans, membership, wall_any, owner)
-            continue
-        inside, band = _wall_band_in_window(u, frame, wall_thickness)
-        membership += inside
-        wall_any |= band
-        owner[inside] = u.uid
+        boxes = _unit_boxes(u, wall_thickness, w, h)
+        x0, x1, y0, y1 = boxes[0]
+        membership[y0:y1, x0:x1] += 1
+        owner[y0:y1, x0:x1] = u.uid
+        _paint_band(wall_any, boxes)
 
     for d in doors:
-        wall_any[_segment_mask(d.p0, d.p1, d.carve_halfwidth, frame)] = False
+        wall_any[_segment_mask(d.p0, d.p1, d.carve_halfwidth, (0, 0, w, h))] = False
 
     # region 0 outside every unit, 1 inside, 2 on an uncarved wall band
     region = (membership > 0).view(np.int8) + wall_any.view(np.int8)
@@ -471,15 +387,12 @@ def rasterize(
 
 
 def _ring_boxes(unit: Unit, w: int, h: int, radius: int):
-    """The one-cell wall strips of an axis-aligned unit, in wall order +u,
-    -u, +v, -v, as end-exclusive boxes (x0, x1, y0, y1), each clipped to a
-    w x h frame, grown by radius and clipped again; their union is the
-    unit's boundary ring dilated on the frame. A strip off the frame is the
-    empty box (0, 0, 0, 0). ValueError for a rotated unit."""
-    spans = _unit_spans(unit, 1.0)
-    if spans is None:
-        raise ValueError(f"unit {unit.uid} is not axis-aligned")
-    ix0, ix1, iy0, iy1 = spans[0]
+    """The one-cell wall strips of a unit, in wall order +u, -u, +v, -v, as
+    end-exclusive boxes (x0, x1, y0, y1), each clipped to a w x h frame,
+    grown by radius and clipped again; their union is the unit's boundary
+    ring dilated on the frame. A strip off the frame is the empty box (0,
+    0, 0, 0)."""
+    ix0, ix1, iy0, iy1 = _unit_spans(unit, 1.0)[0]
     if ix0 > ix1 or iy0 > iy1:
         return ((0, 0, 0, 0),) * 4
     # a one-cell strip is the footprint's outermost column or row on the
@@ -503,12 +416,11 @@ def _ring_boxes(unit: Unit, w: int, h: int, radius: int):
 
 @functools.lru_cache(maxsize=SPAN_CACHE_SIZE)
 def _ring_overlap(a: Unit, b: Unit, w: int, h: int, radius: int):
-    """Where the boundary rings of the axis-aligned units a and b, each
-    dilated by radius on a w x h frame, meet: (cells, walls_a, walls_b,
-    rects) with the number of shared cells, the shared cells inside each
-    wall's dilated strip in wall order, and the end-exclusive elementary
-    rectangles (x0, x1, y0, y1) that tile the shared cells. ValueError for
-    a rotated unit."""
+    """Where the boundary rings of the units a and b, each dilated by radius
+    on a w x h frame, meet: (cells, walls_a, walls_b, rects) with the number
+    of shared cells, the shared cells inside each wall's dilated strip in
+    wall order, and the end-exclusive elementary rectangles (x0, x1, y0, y1)
+    that tile the shared cells."""
     boxes = np.array(_ring_boxes(a, w, h, radius) + _ring_boxes(b, w, h, radius))
     xs = np.unique(boxes[:, :2])
     ys = np.unique(boxes[:, 2:])
@@ -535,7 +447,7 @@ def detect_relations(
 
     r[p, q] is True iff the dilated boundary rings of units p and q share at
     least min_overlap_cells cells of the frame. Symmetric with a False
-    diagonal. Units must be axis-aligned (ValueError otherwise).
+    diagonal.
     """
     if len(units) < 1:
         raise ValueError("need at least one unit")
@@ -551,7 +463,7 @@ def detect_relations(
 
 
 def wall_length_difference(a: Unit, b: Unit, shape, dilate_radius: int = 3, min_overlap_cells: int = 1):
-    """Compare the walls joining the axis-aligned units a and b.
+    """Compare the walls joining the units a and b.
 
     Returns (len_a, len_b, d) where each length is the full side length (in
     cells) of the wall whose dilated strip carries the most of the a-b ring

@@ -1,5 +1,6 @@
-"""Shared fixtures: the two-rooms prior-suppression map and a family of
-randomized synthetic floors with known ground truth."""
+"""Shared fixtures: the two-rooms prior-suppression map, a family of
+randomized synthetic floors with known ground truth, and the per-cell mask
+rule that the library's box geometry is checked against."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,61 @@ import pytest
 from semmap.config import RunConfig
 from semmap.evaluation import SyntheticSpec
 from semmap.grid import CellState, ClassifiedGrid
-from semmap.world import Unit, footprint_mask
+from semmap.world import Unit, WorldCell, _cos_sin, _segment_mask
+
+# ---------------------------------------------------------------------------
+# the mask rule: unit cells decided cell by cell from local coordinates
+
+
+def unit_local_coords(unit, shape):
+    """Signed offsets (du, dv) of every frame cell center from the unit's
+    center along its local u and v axes."""
+    h, w = shape
+    xs = np.arange(w, dtype=np.float64) + 0.5 - unit.cx
+    ys = np.arange(h, dtype=np.float64) + 0.5 - unit.cy
+    c, s = _cos_sin(unit.angle)
+    return xs[None, :] * c + ys[:, None] * s, -xs[None, :] * s + ys[:, None] * c
+
+
+def unit_masks(unit, shape, thickness):
+    """Full-frame masks (inside, band): a cell is inside when its center lies
+    in the unit's rectangle, and on the wall band when it is inside and its
+    center lies within thickness of an edge."""
+    du, dv = unit_local_coords(unit, shape)
+    adu, adv = np.abs(du), np.abs(dv)
+    inside = (adu <= unit.hu) & (adv <= unit.hv)
+    return inside, inside & ((adu > unit.hu - thickness) | (adv > unit.hv - thickness))
+
+
+def ref_rasterize(units, input_states, wall_thickness, doors=(), object_from_occupied=True):
+    """(states, membership, owner) of units over the input frame by the mask
+    rule: the owner is the lowest containing uid, door segments carve walls."""
+    shape = input_states.shape
+    membership = np.zeros(shape, dtype=np.int16)
+    owner = np.full(shape, -1, dtype=np.int32)
+    wall_any = np.zeros(shape, dtype=bool)
+    for u in units:
+        inside, band = unit_masks(u, shape, wall_thickness)
+        membership += inside
+        wall_any |= band
+        take = inside & ((owner == -1) | (u.uid < owner))
+        owner[take] = u.uid
+    carve = np.zeros(shape, dtype=bool)
+    for d in doors:
+        carve |= _segment_mask(d.p0, d.p1, d.carve_halfwidth, (0, 0, shape[1], shape[0]))
+    inside_any = membership > 0
+    obj = input_states == CellState.UNKNOWN
+    if object_from_occupied:
+        obj = obj | (input_states == CellState.OCCUPIED)
+    states = np.full(shape, WorldCell.UNKNOWN_OUT, dtype=np.int8)
+    states[inside_any] = WorldCell.FREE_IN
+    states[inside_any & obj] = WorldCell.OBJECT
+    states[wall_any & ~carve] = WorldCell.WALL
+    return states, membership, owner
+
+
+# ---------------------------------------------------------------------------
+# the two-rooms map
 
 
 def build_two_rooms_map(chunk_lo=40, chunk_hi=68):
@@ -45,10 +100,10 @@ TWO_ROOMS_R3 = Unit(993, 30.0, 182.0, 20.0, 128.0)  # (10,54,50,310)
 
 
 def match_unit(world, ref, shape, min_iou=0.3):
-    rm = footprint_mask(ref, shape)
+    rm = unit_masks(ref, shape, 1.0)[0]
     best, best_iou = None, 0.0
     for u in world.units:
-        um = footprint_mask(u, shape)
+        um = unit_masks(u, shape, 1.0)[0]
         union = int(np.count_nonzero(rm | um))
         if union == 0:
             continue

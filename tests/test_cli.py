@@ -61,7 +61,11 @@ def test_synth_spec_file_and_invalid(tmp_path):
     assert main(["synth", str(p), "--out", str(tmp_path / "s2")]) == 2
 
 
-@pytest.mark.parametrize("doc", [[1, 2], "floor", None], ids=["list", "string", "null"])
+@pytest.mark.parametrize(
+    "doc",
+    [[1, 2], "floor", None, {"width": 100, "height": 80, "units": [1]}, {"width": "100", "height": 80}],
+    ids=["list", "string", "null", "unit_not_a_list", "width_string"],
+)
 def test_synth_spec_not_an_object_exit_2(tmp_path, capsys, doc):
     p = tmp_path / "spec.json"
     p.write_text(json.dumps(doc))
@@ -255,8 +259,8 @@ def test_eval_missing_world_exit_1(tmp_path, demo_pgm):
     assert main(["eval", str(tmp_path / "nope.json"), pgm]) == 1
 
 
-def _with_unit_center(doc, center):
-    units = [dict(doc["units"][0], center=center)] + doc["units"][1:]
+def _with_first_unit(doc, **fields):
+    units = [dict(doc["units"][0], **fields)] + doc["units"][1:]
     return dict(doc, units=units)
 
 
@@ -265,8 +269,9 @@ def _with_unit_center(doc, center):
     [
         pytest.param("world", lambda doc: [], id="world_not_an_object"),
         pytest.param("world", lambda doc: dict(doc, doors=[{"units": [0]}]), id="door_with_one_unit"),
-        pytest.param("world", lambda doc: _with_unit_center(doc, "ab"), id="unit_center_string"),
+        pytest.param("world", lambda doc: _with_first_unit(doc, center="ab"), id="unit_center_string"),
         pytest.param("world", lambda doc: dict(doc, relations=[[1]]), id="relations_not_units_by_units"),
+        pytest.param("world", lambda doc: _with_first_unit(doc, angle=0.7), id="unit_rotated"),
         pytest.param("truth", lambda doc: [], id="truth_not_an_object"),
     ],
 )

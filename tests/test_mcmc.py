@@ -52,7 +52,7 @@ def test_move_wall_each_side_reversible_exactly():
 
 
 def test_move_wall_reversible_with_rotation():
-    u = Unit(0, qcoord(40.1), qcoord(30.7), 9.0, 6.0, angle=qcoord(0.31))
+    u = Unit(0, qcoord(40.1), qcoord(30.7), 9.0, 6.0, angle=qcoord(math.pi / 2))
     for wall in range(4):
         out = move_wall(move_wall(u, wall, 3.0), wall, -3.0)
         assert out == u

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import ref_rasterize
 
 from semmap.errors import MissingWalls
 from semmap.grid import CellState, ClassifiedGrid
@@ -24,9 +25,7 @@ from semmap.world import (
     World,
     WorldCell,
     _carve_box,
-    _cos_sin,
     _segment_mask,
-    _wall_band_in_window,
     detect_relations,
     qcoord,
     rasterize,
@@ -280,9 +279,9 @@ def test_field_score_is_pure():
 
 def test_field_score_rejects_rotated_units_and_slanted_doors():
     field = LikelihoodField(uniform_grid((40, 40), CellState.FREE), SensorModelTable(), LikelihoodConfig())
-    tilted = World(units=(Unit(0, 20.0, 20.0, 8.0, 6.0, 0.3),), types=(UnitType.ROOM,))
+    # a rotated unit cannot be built, so no world holding one reaches score
     with pytest.raises(ValueError):
-        field.score(tilted)
+        field.score(World(units=(Unit(0, 20.0, 20.0, 8.0, 6.0, 0.3),), types=(UnitType.ROOM,)))
     a = Unit(0, 20.0, 20.0, 8.0, 6.0)
     slanted = World(units=(a,), types=(UnitType.ROOM,), doors=(Door(0, 0, (12.0, 14.0), (16.0, 18.0), 4.0),))
     with pytest.raises(ValueError):
@@ -356,6 +355,22 @@ def _random_axis_world(rng, shape):
     return World(units=tuple(units), types=types, doors=tuple(doors))
 
 
+def test_wall_band_leaves_center_open_at_half_extent_equal_to_thickness():
+    # the center column lies exactly wall_thickness from both x edges: off
+    # the band, so 12 of the 5 x 16 footprint cells stay open
+    unit = Unit(0, 10.5, 15.0, 2.0, 8.0)
+    free = uniform_grid((30, 30), CellState.FREE)
+    smap = rasterize([unit], free, wall_thickness=2.0)
+    assert int(np.count_nonzero(smap.membership)) == 80
+    assert int(np.count_nonzero(smap.states == WorldCell.WALL)) == 68
+    assert np.array_equal(smap.states, ref_rasterize([unit], free.states, 2.0)[0])
+    rng = np.random.default_rng(8)
+    grid = ClassifiedGrid(rng.integers(0, 3, size=(30, 30)).astype(np.int8))
+    field = LikelihoodField(grid, SensorModelTable(), LikelihoodConfig(), wall_thickness=2.0)
+    world = World(units=(unit,), types=(UnitType.ROOM,))
+    assert field.score(world) == pytest.approx(field.full_rescore(world), abs=1e-9)
+
+
 def test_field_score_matches_full_rescore_on_random_axis_aligned_worlds():
     rng = np.random.default_rng(23)
     shape = (48, 64)
@@ -396,75 +411,7 @@ def test_field_score_matches_full_rescore_on_random_axis_aligned_worlds():
     assert all(count > 0 for count in seen.values()), seen
 
 
-# -- bit-exact reference: the masked-assignment rasterizer and 2-D table terms --
-
-
-def _ref_cell_span(center, extent, lo, hi):
-    a = max(lo, math.ceil(center - extent - 0.5))
-    b = min(hi - 1, math.floor(center + extent - 0.5))
-    return a, b
-
-
-def _ref_paint_axis_aligned(unit, window, thickness, membership, wall_any, owner):
-    c, s = _cos_sin(unit.angle)
-    if s == 0.0 and abs(c) == 1.0:
-        ex, ey = unit.hu, unit.hv
-    elif c == 0.0 and abs(s) == 1.0:
-        ex, ey = unit.hv, unit.hu
-    else:
-        return False
-    x0, y0, x1, y1 = window
-    ix0, ix1 = _ref_cell_span(unit.cx, ex, x0, x1)
-    iy0, iy1 = _ref_cell_span(unit.cy, ey, y0, y1)
-    if ix0 > ix1 or iy0 > iy1:
-        return True
-    sl = (slice(iy0 - y0, iy1 + 1 - y0), slice(ix0 - x0, ix1 + 1 - x0))
-    membership[sl] += 1
-    sub = owner[sl]
-    owner[sl] = np.where(sub == -1, np.int32(unit.uid), np.minimum(sub, np.int32(unit.uid)))
-    jx0, jx1 = _ref_cell_span(unit.cx, max(ex - thickness, 0.0), x0, x1)
-    jy0, jy1 = _ref_cell_span(unit.cy, max(ey - thickness, 0.0), y0, y1)
-    if jx0 > jx1 or jy0 > jy1 or ex <= thickness or ey <= thickness:
-        wall_any[sl] = True
-        return True
-    wall_any[iy0 - y0 : jy0 - y0, ix0 - x0 : ix1 + 1 - x0] = True
-    wall_any[jy1 + 1 - y0 : iy1 + 1 - y0, ix0 - x0 : ix1 + 1 - x0] = True
-    wall_any[iy0 - y0 : iy1 + 1 - y0, ix0 - x0 : jx0 - x0] = True
-    wall_any[iy0 - y0 : iy1 + 1 - y0, jx1 + 1 - x0 : ix1 + 1 - x0] = True
-    return True
-
-
-def _ref_rasterize_window(units, input_states, window, wall_thickness, doors, object_from_occupied):
-    x0, y0, x1, y1 = window
-    h, w = y1 - y0, x1 - x0
-    membership = np.zeros((h, w), dtype=np.int16)
-    owner = np.full((h, w), -1, dtype=np.int32)
-    wall_any = np.zeros((h, w), dtype=bool)
-    for u in units:
-        ax0, ay0, ax1, ay1 = u.aabb()
-        if ax1 < x0 or ax0 > x1 or ay1 < y0 or ay0 > y1:
-            continue
-        if _ref_paint_axis_aligned(u, window, wall_thickness, membership, wall_any, owner):
-            continue
-        inside, band = _wall_band_in_window(u, window, wall_thickness)
-        membership += inside
-        wall_any |= band
-        cur = np.where(inside, np.int32(u.uid), np.int32(2**31 - 1))
-        take = inside & ((owner == -1) | (cur < owner))
-        owner[take] = cur[take]
-    carve = np.zeros((h, w), dtype=bool)
-    for d in doors:
-        carve |= _segment_mask(d.p0, d.p1, d.carve_halfwidth, window)
-    inside_any = membership > 0
-    inp = input_states[y0:y1, x0:x1]
-    obj = inp == CellState.UNKNOWN
-    if object_from_occupied:
-        obj = obj | (inp == CellState.OCCUPIED)
-    states = np.full((h, w), WorldCell.UNKNOWN_OUT, dtype=np.int8)
-    states[inside_any] = WorldCell.FREE_IN
-    states[inside_any & obj] = WorldCell.OBJECT
-    states[wall_any & ~carve] = WorldCell.WALL
-    return states, membership, owner
+# -- bit-exact reference: the mask-rule rasterizer and 2-D table terms --------
 
 
 def _ref_terms(inp, states, membership, owner, world, tables, log_psi):
@@ -485,23 +432,23 @@ def _ref_terms(inp, states, membership, owner, world, tables, log_psi):
 
 
 def _random_world(rng, shape):
-    """Overlapping units on a quarter-cell grid: axis-aligned, turned by
-    pi/2 or pi, or rotated by any angle; some thinner than the wall band;
-    random types, non-contiguous uids and door segments."""
+    """Overlapping units on a quarter-cell grid: axis-aligned or turned by
+    pi/2 or pi; some thinner than the wall band, some past the frame edge;
+    random types, non-contiguous uids and horizontal, vertical or slanted
+    door segments."""
     h, w = shape
     n = int(rng.integers(1, 7))
     uids = rng.choice(20, size=n, replace=False)
     units = []
     for uid in uids:
-        angle = float(rng.choice([0.0, math.pi / 2, math.pi, rng.uniform(0.0, math.pi)]))
         units.append(
             Unit(
                 int(uid),
-                float(rng.integers(0, 4 * w)) / 4.0,
-                float(rng.integers(0, 4 * h)) / 4.0,
-                float(rng.integers(2, 60)) / 4.0,
-                float(rng.integers(2, 60)) / 4.0,
-                angle,
+                float(rng.integers(-20, 4 * w + 20)) / 4.0,
+                float(rng.integers(-20, 4 * h + 20)) / 4.0,
+                float(rng.integers(1, 60)) / 4.0,
+                float(rng.integers(1, 60)) / 4.0,
+                float(rng.choice([0.0, math.pi / 2, math.pi])),
             )
         )
     types = tuple(UnitType(int(t)) for t in rng.integers(0, 4, size=n))
@@ -522,7 +469,7 @@ def test_rasterize_and_terms_bit_exact_vs_reference(object_from_occupied):
     shape = (48, 64)
     grid = ClassifiedGrid(rng.integers(0, 3, size=shape).astype(np.int8))
     tables = SensorModelTable()
-    seen = {"rotated": 0, "overlap": 0, "carved": 0, "corridor": 0, "scored": 0}
+    seen = {"slanted": 0, "overlap": 0, "carved": 0, "corridor": 0, "scored": 0}
     for _ in range(150):
         world = _random_world(rng, shape)
         thickness = float(rng.choice([1.0, 2.0, 2.5]))
@@ -530,30 +477,23 @@ def test_rasterize_and_terms_bit_exact_vs_reference(object_from_occupied):
         field = LikelihoodField(
             grid, tables, LikelihoodConfig(psi=psi), thickness, object_from_occupied
         )
-        frame = (0, 0, shape[1], shape[0])
         got = rasterize(world.units, grid, thickness, world.doors, object_from_occupied)
-        want = _ref_rasterize_window(
-            world.units, grid.states, frame, thickness, world.doors, object_from_occupied
-        )
+        want = ref_rasterize(world.units, grid.states, thickness, world.doors, object_from_occupied)
         for g, r in zip((got.states, got.membership, got.owner), want):
             assert g.dtype == r.dtype
             assert np.array_equal(g, r)
         ref_terms = _ref_terms(grid.states, *want, world, tables, math.log(psi))
         assert field.full_rescore(world) == float(ref_terms.sum())
-        axis_aligned = all(u.angle in (0.0, math.pi / 2, math.pi) for u in world.units) and all(
-            d.p0[0] == d.p1[0] or d.p0[1] == d.p1[1] for d in world.doors
-        )
-        if axis_aligned:
+        slanted = sum(d.p0[0] != d.p1[0] and d.p0[1] != d.p1[1] for d in world.doors)
+        if not slanted:
             assert abs(field.score(world) - float(ref_terms.sum())) <= 1e-9
             seen["scored"] += 1
         else:
             with pytest.raises(ValueError):
                 field.score(world)
-        no_doors = _ref_rasterize_window(
-            world.units, grid.states, frame, thickness, (), object_from_occupied
-        )[0]
+        no_doors = ref_rasterize(world.units, grid.states, thickness, (), object_from_occupied)[0]
         seen["carved"] += int(np.count_nonzero(no_doors != want[0]))
         seen["overlap"] += int(np.count_nonzero(want[1] >= 2))
-        seen["rotated"] += sum(u.angle not in (0.0, math.pi / 2, math.pi) for u in world.units)
+        seen["slanted"] += slanted
         seen["corridor"] += sum(t == UnitType.CORRIDOR for t in world.types)
     assert all(count > 0 for count in seen.values()), seen

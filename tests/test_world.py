@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from conftest import ref_rasterize, unit_local_coords, unit_masks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semmap.errors import NotAdjacent
+from semmap.evaluation import topology_match
 from semmap.grid import CellState, ClassifiedGrid, connected_components, dilate
+from semmap.render import COLOR_SAMPLE, render_samples
 from semmap.world import (
     Component,
     Door,
@@ -15,11 +18,10 @@ from semmap.world import (
     UnitType,
     World,
     WorldCell,
-    _local_coords,
     _nearest_unit_uid,
     _ring_overlap,
+    _unit_boxes,
     _unit_spans,
-    _wall_band_in_window,
     abstract_graph,
     classify_geometry,
     connecting_wall_lengths,
@@ -27,7 +29,6 @@ from semmap.world import (
     detect_objects,
     detect_relations,
     detect_unexplored,
-    footprint_mask,
     qcoord,
     rasterize,
     wall_length_difference,
@@ -54,7 +55,7 @@ def uniform_grid(shape, state):
 
 
 def test_vertices_form_rectangle_with_equal_diagonals():
-    u = Unit(0, 10.0, 8.0, 5.0, 3.0, angle=0.7)
+    u = Unit(0, 10.0, 8.0, 5.0, 3.0, angle=qcoord(math.pi / 2))
     v = u.vertices()
     d1 = math.dist(v[0], v[2])
     d2 = math.dist(v[1], v[3])
@@ -66,12 +67,20 @@ def test_unit_rejects_nonpositive_extents():
         Unit(0, 0.0, 0.0, 0.0, 1.0)
 
 
-def test_wall_segment_lengths():
+def test_unit_rejects_rotated_angles():
+    with pytest.raises(ValueError):
+        Unit(0, 20, 20, 8, 6, 0.3)
+    for angle in (0.7, math.pi / 4, qcoord(math.pi / 2) + 2**-10, math.nan):
+        with pytest.raises(ValueError):
+            Unit(0, 20.0, 20.0, 8.0, 6.0, angle)
+    for angle in (0.0, -0.0, math.pi / 2, math.pi, qcoord(math.pi / 2), qcoord(math.pi), 3 * math.pi / 2):
+        assert Unit(0, 20.0, 20.0, 8.0, 6.0, angle).angle == angle
+
+
+def test_wall_lengths():
     u = Unit(0, 0.0, 0.0, 6.0, 4.0)
     for wall, expect in ((0, 8.0), (1, 8.0), (2, 12.0), (3, 12.0)):
-        p0, p1 = u.wall_segment(wall)
-        assert math.dist(p0, p1) == pytest.approx(expect)
-        assert u.wall_length(wall) == pytest.approx(expect)
+        assert u.wall_length(wall) == expect
 
 
 # -- geometry classifier -----------------------------------------------------
@@ -149,16 +158,15 @@ def test_relations_count_ring_cells_on_the_whole_frame():
 def _ref_rings(unit, shape, radius):
     """The full-frame masks of a unit's dilated boundary ring and of its
     dilated wall strips in wall order +u, -u, +v, -v."""
-    frame = (0, 0, shape[1], shape[0])
-    du, dv = _local_coords(unit, frame)
-    inside = (np.abs(du) <= unit.hu) & (np.abs(dv) <= unit.hv)
+    du, dv = unit_local_coords(unit, shape)
+    inside, band = unit_masks(unit, shape, 1.0)
     walls = (
         inside & (du > unit.hu - 1.0),
         inside & (du < -(unit.hu - 1.0)),
         inside & (dv > unit.hv - 1.0),
         inside & (dv < -(unit.hv - 1.0)),
     )
-    ring = dilate(_wall_band_in_window(unit, frame, 1.0)[1], radius)
+    ring = dilate(band, radius)
     return ring, [dilate(wall, radius) for wall in walls]
 
 
@@ -262,15 +270,6 @@ def test_pair_geometry_equals_full_frame_masks_on_random_pairs():
     assert seen["overlap"] >= 600 and all(count > 0 for count in seen.values()), seen
 
 
-def test_pair_geometry_rejects_rotated_units():
-    grid = uniform_grid((40, 60), CellState.FREE)
-    units = [Unit(0, 20.0, 20.0, 8.0, 8.0, 0.3), Unit(1, 36.0, 20.0, 8.0, 8.0)]
-    with pytest.raises(ValueError):
-        wall_length_difference(units[1], units[0], (40, 60))
-    with pytest.raises(ValueError):
-        detect_doors(units, np.ones((2, 2), dtype=bool), grid, 2, 12)
-
-
 # -- rasterize ---------------------------------------------------------------
 
 
@@ -313,6 +312,69 @@ def test_rasterize_half_pi_unit_equals_axis_aligned_with_swapped_extents(thickne
     want = rasterize([plain], grid, wall_thickness=thickness)
     for a, b in ((got.states, want.states), (got.membership, want.membership), (got.owner, want.owner)):
         assert np.array_equal(a, b)
+
+
+def _random_quarter_turn_unit(rng, uid, shape, near=None):
+    """A unit on the quarter-cell grid at angle 0, pi/2 or pi with half
+    extents from 0.25 cells, its center up to 5 cells past the frame edge
+    or, when given, within 10 cells of another unit's."""
+    h, w = shape
+    if near is None:
+        cx, cy = float(rng.integers(-20, 4 * w + 21)) / 4.0, float(rng.integers(-20, 4 * h + 21)) / 4.0
+    else:
+        cx = near.cx + float(rng.integers(-40, 41)) / 4.0
+        cy = near.cy + float(rng.integers(-40, 41)) / 4.0
+    hu, hv = (float(rng.integers(1, 64)) / 4.0 for _ in range(2))
+    return Unit(uid, cx, cy, hu, hv, float(rng.choice([0.0, math.pi / 2, math.pi])))
+
+
+def test_box_path_equals_mask_rule_on_random_axis_aligned_worlds(tmp_path):
+    rng = np.random.default_rng(31)
+    shape = (36, 48)
+    h, w = shape
+    grid = ClassifiedGrid(rng.integers(0, 3, size=shape).astype(np.int8))
+    seen = {"turned": 0, "thin": 0, "open_center": 0, "edge": 0, "overlap": 0, "matched": 0}
+    for i in range(150):
+        uids = rng.choice(30, size=int(rng.integers(1, 6)), replace=False)
+        units = tuple(_random_quarter_turn_unit(rng, int(uid), shape) for uid in uids)
+        thickness = (1.0, 2.0, 2.5)[i % 3]
+        got = rasterize(units, grid, thickness, object_from_occupied=i % 2 == 0)
+        want = ref_rasterize(units, grid.states, thickness, object_from_occupied=i % 2 == 0)
+        for g, r in zip((got.states, got.membership, got.owner), want):
+            assert np.array_equal(g, r), (units, thickness)
+
+        # render_samples outlines each sample's units by their bands at thickness 1
+        samples = [units[: k + 1] for k in range(len(units))]
+        outlines = [np.logical_or.reduce([unit_masks(u, shape, 1.0)[1] for u in sample]) for sample in samples]
+        union = np.logical_or.reduce(outlines)
+        stats = render_samples(grid, samples, tmp_path / "samples.ppm")
+        assert stats["union_outline_cells"] == int(union.sum())
+        assert stats["mean_outline_cells"] == float(np.mean([int(o.sum()) for o in outlines]))
+        pixels = np.frombuffer((tmp_path / "samples.ppm").read_bytes()[-h * w * 3 :], dtype=np.uint8)
+        assert np.array_equal((pixels.reshape(h, w, 3) == COLOR_SAMPLE).all(axis=2), union)
+
+        # topology_match pairs two single units exactly when their IoU reaches the threshold
+        for a in units:
+            b = _random_quarter_turn_unit(rng, 0, shape, near=a)
+            ma, mb = unit_masks(a, shape, 1.0)[0], unit_masks(b, shape, 1.0)[0]
+            pred, truth = World(units=(a,), types=(UnitType.ROOM,)), World(units=(b,), types=(UnitType.ROOM,))
+            inter = int(np.count_nonzero(ma & mb))
+            if not inter:
+                assert topology_match(pred, truth, shape, 0.0)["matched_units"] == 0
+                continue
+            iou = inter / int(np.count_nonzero(ma | mb))
+            assert topology_match(pred, truth, shape, iou)["matched_units"] == 1
+            assert topology_match(pred, truth, shape, float(np.nextafter(iou, 2.0)))["matched_units"] == 0
+            seen["matched"] += 1
+
+        seen["turned"] += sum(u.angle != 0.0 for u in units)
+        seen["thin"] += sum(u.short < thickness for u in units)
+        seen["open_center"] += sum(thickness in (u.hu, u.hv) for u in units)
+        seen["edge"] += sum(
+            min(u.cx, u.cy) - u.long < 0 or u.cx + u.long > w or u.cy + u.long > h for u in units
+        )
+        seen["overlap"] += int(np.count_nonzero(want[1] >= 2))
+    assert all(count > 0 for count in seen.values()), seen
 
 
 def test_rasterize_door_carves_wall():
@@ -645,7 +707,7 @@ def test_world_json_roundtrip():
     assert [d.width for d in back.doors] == [d.width for d in world.doors]
 
 
-def test_footprint_mask_counts_cells():
+def test_footprint_box_counts_cells():
     u = Unit(0, 5.0, 5.0, 2.0, 3.0)
-    mask = footprint_mask(u, (12, 12))
-    assert mask.sum() == 4 * 6
+    x0, x1, y0, y1 = _unit_boxes(u, 1.0, 12, 12)[0]
+    assert (x1 - x0) * (y1 - y0) == 4 * 6 == int(unit_masks(u, (12, 12), 1.0)[0].sum())
