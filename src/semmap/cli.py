@@ -1,14 +1,16 @@
 """Command-line surface: ``semmap infer | eval | mln | synth``.
 
-Exit codes: 0 success; 1 malformed input; 2 config/parse error or an output
-path that cannot be written (infer, synth); 3 empty map (infer) or no
-feasible MLN state (infer, mln).
+Exit codes: 0 success; 1 malformed input; 2 config/parse error, a bad
+--resolution (infer) or --roi (eval), or an output path that cannot be
+written (infer, synth); 3 empty map (infer) or no feasible MLN state
+(infer, mln).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -21,6 +23,7 @@ from .errors import (
     AllWorldsExcluded,
     ConfigError,
     EmptyMap,
+    EmptyRoi,
     InvalidSpec,
     MalformedFile,
     NoFeasibleState,
@@ -79,6 +82,8 @@ def _rules_for(cfg: RunConfig):
 
 def cmd_infer(args) -> int:
     try:
+        if not (math.isfinite(args.resolution) and args.resolution > 0):
+            raise ConfigError(f"--resolution must be a positive finite number, not {args.resolution!r}")
         cfg = _load_run_config(args)
         rules = _rules_for(cfg)
     except (ConfigError, RulesParseError, UnknownPredicate, OSError) as exc:
@@ -165,6 +170,11 @@ def cmd_eval(args) -> int:
     cgrid = classify(grid, cfg.free_below, cfg.occupied_above)
     if args.roi:
         roi = RegionOfInterest(*args.roi)
+        try:
+            roi.clipped(cgrid.states.shape)
+        except EmptyRoi as exc:
+            print(f"bad roi: {exc}", file=sys.stderr)
+            return 2
     else:
         print("warning: no roi given, using the full map", file=sys.stderr)
         roi = full_roi(cgrid.states.shape)

@@ -232,7 +232,6 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0):
             cy=(r[1] + r[3]) / 2.0,
             hu=(r[2] - r[0]) / 2.0,
             hv=(r[3] - r[1]) / 2.0,
-            angle=0.0,
         )
         for i, (_, r) in enumerate(spec.units)
     )

@@ -30,7 +30,6 @@ from .errors import EmptyMap, NotApplicable
 from .grid import CellState, ClassifiedGrid, connected_components, coverage
 from .scoring import LikelihoodField, sale_log_prior
 from .world import (
-    _cos_sin,
     _unit_boxes,
     GeometryClass,
     Unit,
@@ -88,9 +87,7 @@ MIN_LOG_DENSITY = math.log(1e-12)
 
 # largest single-wall move of SHRINK, DILATE and INTERCHANGE, in cells
 DELTA_MAX = 5
-# half-extent range of blind ALLOCATE births, in cells; births draw
-# axis-aligned angles: indoor maps are mostly rectilinear and tilted
-# survivors stall wall alignment
+# half-extent range of blind ALLOCATE births, in cells
 ALLOCATE_HALF_MIN = 8.0
 ALLOCATE_HALF_MAX = 60.0
 # units must enclose mapped free space (at least ADD_SEED_MIN_CELLS cells
@@ -124,67 +121,42 @@ class Proposal:
 
 
 def move_wall(unit: Unit, wall: int, delta: float) -> Unit:
-    """Translate one wall outward by delta cells (inward when negative).
+    """Translate wall 0..3 = (+x, -x, +y, -y) outward by delta cells
+    (inward when negative); the opposite wall stays in place.
 
     All arithmetic stays on the dyadic grid, so moving a wall by delta and
     then by -delta restores the unit bit-exactly.
     """
     s = delta / 2.0
-    ux, uy = (qcoord(t) for t in _cos_sin(unit.angle))
-    vx, vy = -uy, ux
-    if wall == 0:
-        return Unit(unit.uid, qcoord(unit.cx + qcoord(s * ux)), qcoord(unit.cy + qcoord(s * uy)), qcoord(unit.hu + s), unit.hv, unit.angle)
-    if wall == 1:
-        return Unit(unit.uid, qcoord(unit.cx - qcoord(s * ux)), qcoord(unit.cy - qcoord(s * uy)), qcoord(unit.hu + s), unit.hv, unit.angle)
-    if wall == 2:
-        return Unit(unit.uid, qcoord(unit.cx + qcoord(s * vx)), qcoord(unit.cy + qcoord(s * vy)), unit.hu, qcoord(unit.hv + s), unit.angle)
-    return Unit(unit.uid, qcoord(unit.cx - qcoord(s * vx)), qcoord(unit.cy - qcoord(s * vy)), unit.hu, qcoord(unit.hv + s), unit.angle)
+    shift = -qcoord(s) if wall % 2 else qcoord(s)
+    if wall < 2:
+        return Unit(unit.uid, qcoord(unit.cx + shift), unit.cy, qcoord(unit.hu + s), unit.hv)
+    return Unit(unit.uid, unit.cx, qcoord(unit.cy + shift), unit.hu, qcoord(unit.hv + s))
 
 
 def split_unit(unit: Unit, axis: int, offset: float, uid1: int, uid2: int):
-    """Cut along a line perpendicular to the chosen local axis at ``offset``
-    (in (-extent, extent)); returns the two child units covering the parent
-    footprint exactly."""
+    """Cut across x (axis 0) or y (axis 1) at ``offset`` from the center (in
+    (-extent, extent)); returns the two child units, below and above the
+    cut, which tile the parent box exactly."""
     offset = qcoord(offset)
-    ux, uy = (qcoord(t) for t in _cos_sin(unit.angle))
-    vx, vy = -uy, ux
+    c, a = (unit.cx, unit.hu) if axis == 0 else (unit.cy, unit.hv)
+    h1, h2 = qcoord((a + offset) / 2.0), qcoord((a - offset) / 2.0)
+    c1, c2 = qcoord(c + qcoord((offset - a) / 2.0)), qcoord(c + qcoord((offset + a) / 2.0))
     if axis == 0:
-        a = unit.hu
-        h1, h2 = qcoord((a + offset) / 2.0), qcoord((a - offset) / 2.0)
-        o1, o2 = qcoord((offset - a) / 2.0), qcoord((offset + a) / 2.0)
-        c1 = (qcoord(unit.cx + qcoord(o1 * ux)), qcoord(unit.cy + qcoord(o1 * uy)))
-        c2 = (qcoord(unit.cx + qcoord(o2 * ux)), qcoord(unit.cy + qcoord(o2 * uy)))
-        u1 = Unit(uid1, c1[0], c1[1], h1, unit.hv, unit.angle)
-        u2 = Unit(uid2, c2[0], c2[1], h2, unit.hv, unit.angle)
-    else:
-        b = unit.hv
-        h1, h2 = qcoord((b + offset) / 2.0), qcoord((b - offset) / 2.0)
-        o1, o2 = qcoord((offset - b) / 2.0), qcoord((offset + b) / 2.0)
-        c1 = (qcoord(unit.cx + qcoord(o1 * vx)), qcoord(unit.cy + qcoord(o1 * vy)))
-        c2 = (qcoord(unit.cx + qcoord(o2 * vx)), qcoord(unit.cy + qcoord(o2 * vy)))
-        u1 = Unit(uid1, c1[0], c1[1], unit.hu, h1, unit.angle)
-        u2 = Unit(uid2, c2[0], c2[1], unit.hu, h2, unit.angle)
-    return u1, u2
+        return Unit(uid1, c1, unit.cy, h1, unit.hv), Unit(uid2, c2, unit.cy, h2, unit.hv)
+    return Unit(uid1, unit.cx, c1, unit.hu, h1), Unit(uid2, unit.cx, c2, unit.hu, h2)
 
 
 def merge_units(a: Unit, b: Unit, uid: int) -> Unit:
-    """Minimal enclosing rectangle in the frame of the larger unit."""
+    """The union box of two units, its edges and center taken relative to
+    the center of the larger unit."""
     frame = a if (a.area, -a.uid) >= (b.area, -b.uid) else b
-    ux, uy = (qcoord(t) for t in _cos_sin(frame.angle))
-    vx, vy = -uy, ux
-    umin = vmin = math.inf
-    umax = vmax = -math.inf
-    for unit in (a, b):
-        for px, py in unit.vertices():
-            du = (px - frame.cx) * ux + (py - frame.cy) * uy
-            dv = (px - frame.cx) * vx + (py - frame.cy) * vy
-            umin, umax = min(umin, du), max(umax, du)
-            vmin, vmax = min(vmin, dv), max(vmax, dv)
-    umin, umax, vmin, vmax = (qcoord(t) for t in (umin, umax, vmin, vmax))
-    cu, cv = qcoord((umin + umax) / 2.0), qcoord((vmin + vmax) / 2.0)
-    cx = qcoord(frame.cx + qcoord(cu * ux) + qcoord(cv * vx))
-    cy = qcoord(frame.cy + qcoord(cu * uy) + qcoord(cv * vy))
-    return Unit(uid, cx, cy, qcoord((umax - umin) / 2.0), qcoord((vmax - vmin) / 2.0), frame.angle)
+    (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = a.aabb(), b.aabb()
+    x0, x1 = qcoord(min(ax0, bx0) - frame.cx), qcoord(max(ax1, bx1) - frame.cx)
+    y0, y1 = qcoord(min(ay0, by0) - frame.cy), qcoord(max(ay1, by1) - frame.cy)
+    cx = qcoord(frame.cx + qcoord((x0 + x1) / 2.0))
+    cy = qcoord(frame.cy + qcoord((y0 + y1) / 2.0))
+    return Unit(uid, cx, cy, qcoord((x1 - x0) / 2.0), qcoord((y1 - y0) / 2.0))
 
 
 def apply_kernel(units: tuple, kind: KernelKind, params: tuple) -> tuple:
@@ -288,23 +260,16 @@ def interchange_candidates(units, pad: float):
     out = []
     for i, j in _aabb_gap_pairs(units, pad):
         a, b = units[i], units[j]
-        if a.angle != b.angle:
-            continue
-        ux, uy = math.cos(a.angle), math.sin(a.angle)
         dx, dy = b.cx - a.cx, b.cy - a.cy
-        du = dx * ux + dy * uy
-        dv = -dx * uy + dy * ux
-        if abs(du) >= abs(dv):
+        if abs(dx) >= abs(dy):
             if a.hv != b.hv:
                 continue
-            wall_a = 0 if du > 0 else 1
-            wall_b = 1 if du > 0 else 0
+            walls = (0, 1) if dx > 0 else (1, 0)
         else:
             if a.hu != b.hu:
                 continue
-            wall_a = 2 if dv > 0 else 3
-            wall_b = 3 if dv > 0 else 2
-        out.append((i, j, wall_a, wall_b))
+            walls = (2, 3) if dy > 0 else (3, 2)
+        out.append((i, j, *walls))
     return out
 
 
@@ -393,7 +358,7 @@ class Chain:
         hv = min(max(self.cfg.min_half_extent, qcoord((y1 + 1 - y0) / 2.0 + t)), h / 2.0)
         cx = min(max(qcoord((x0 + x1 + 1) / 2.0 + jx), hu), w - hu)
         cy = min(max(qcoord((y0 + y1 + 1) / 2.0 + jy), hv), h - hv)
-        unit = Unit(self._new_uid(), qcoord(cx), qcoord(cy), hu, hv, 0.0)
+        unit = Unit(self._new_uid(), qcoord(cx), qcoord(cy), hu, hv)
         self.units = (unit,)
         self.types = {unit.uid: geometry_to_type(self._geometry_class(unit))}
         self.refresh(force=True)
@@ -564,7 +529,6 @@ class Chain:
                 qcoord((ey0 + ey1) / 2.0),
                 qcoord((ex1 - ex0) / 2.0),
                 qcoord((ey1 - ey0) / 2.0),
-                0.0,
             )
             if not self._unit_valid(unit):
                 raise NotApplicable("seeded unit out of bounds")
@@ -595,15 +559,11 @@ class Chain:
             ey0 = float(rng.integers(0, max(h - 1, 1)))
             width = 2.0 * float(rng.integers(int(hmin), int(hmax) + 1))
             height = 2.0 * float(rng.integers(int(hmin), int(hmax) + 1))
-            angle = 0.0 if int(rng.integers(2)) == 0 else qcoord(math.pi / 2.0)
-            unit = Unit(
-                self.next_uid,
-                qcoord(ex0 + width / 2.0),
-                qcoord(ey0 + height / 2.0),
-                qcoord(width / 2.0),
-                qcoord(height / 2.0),
-                angle,
-            )
+            hu, hv = qcoord(width / 2.0), qcoord(height / 2.0)
+            if int(rng.integers(2)):
+                # the coin turns the box by a quarter turn, which swaps its extents
+                hu, hv = hv, hu
+            unit = Unit(self.next_uid, qcoord(ex0 + width / 2.0), qcoord(ey0 + height / 2.0), hu, hv)
             if not self._unit_valid(unit):
                 raise NotApplicable("allocated unit invalid")
             q_fwd = math.log(self._kernel_weight(kind)) + self._allocate_log_density()
@@ -631,15 +591,13 @@ class Chain:
         if kind == KernelKind.SPLIT:
             target = units[int(rng.integers(n))]
             axis = int(rng.integers(2))
-            extent = target.hu if axis == 0 else target.hv
+            c_along, extent = (target.cx, target.hu) if axis == 0 else (target.cy, target.hv)
             m = cfg.min_half_extent
             lo, hi = 2.0 * m - extent, extent - 2.0 * m
             if hi <= lo:
                 raise NotApplicable("unit too small to split")
             # snap the cut to an integer global coordinate along the axis so
             # child edges stay on the cell lattice
-            c, s_ = _cos_sin(target.angle)
-            c_along = target.cx * c + target.cy * s_ if axis == 0 else -target.cx * s_ + target.cy * c
             offset = qcoord(round(rng.uniform(lo, hi) + c_along) - c_along)
             if not (lo <= offset <= hi):
                 raise NotApplicable("split offset out of range")

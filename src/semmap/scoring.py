@@ -20,8 +20,7 @@ from .world import (
     UnitType,
     World,
     WorldStateMap,
-    _carve_box,
-    _clip_box,
+    _door_carves,
     _unit_boxes,
     connecting_wall_lengths,
     rasterize,
@@ -260,8 +259,7 @@ class LikelihoodField:
     count per input class, so the log-likelihood is a histogram of cell
     counts over the categories of _term_table dotted with the table: two
     worlds with the same histogram score exactly the same. ``full_rescore``
-    rasterizes cell by cell; it is the oracle ``score`` is tested against
-    and the path for rotated units.
+    rasterizes cell by cell; it is the oracle ``score`` is tested against.
     """
 
     def __init__(
@@ -303,7 +301,7 @@ class LikelihoodField:
         h, w = self.shape
         n = world.n
         boxes = [_unit_boxes(u, self.wall_thickness, w, h) for u in world.units]
-        carves = [_clip_box(box, w, h) for d in world.doors if (box := _carve_box(d)) is not None]
+        carves = _door_carves(world.doors, w, h)
         # layer 0: unit footprints, 1: their interiors, then door carves
         layers = [[b[0] for b in boxes], [b[1] for b in boxes if len(b) > 1]]
         if carves:

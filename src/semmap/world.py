@@ -3,11 +3,11 @@ into world-cell states, and the deterministic evidence extractors (geometry
 classification, adjacency, doors, objects, unexplored areas).
 
 Coordinates are continuous cell units: cell (ix, iy) spans [ix, ix+1) x
-[iy, iy+1) and its center sits at (ix+0.5, iy+0.5). A unit is an
-axis-aligned rectangle given by center, half extents along its local axes
-and an angle that is a multiple of pi/2 (an odd multiple swaps the local
-axes). All geometry parameters are kept on a dyadic grid (multiples of
-2**-20 cells) so that move/reverse-move arithmetic is exact in floats.
+[iy, iy+1) and its center sits at (ix+0.5, iy+0.5). A unit is an x/y box
+given by its center and its half extents along x and y; its walls are, in
+order, the +x, -x, +y and -y edges. All geometry parameters are kept on a
+dyadic grid (multiples of 2**-20 cells) so that move/reverse-move
+arithmetic is exact in floats.
 """
 
 from __future__ import annotations
@@ -29,30 +29,9 @@ QUANT = float(2**20)
 SPAN_CACHE_SIZE = 256
 
 
-# cos/sin within this of 0 or +-1 snap to it: twice the largest qcoord
-# rounding error of 2**-21
-AXIS_SNAP = 1.0 / QUANT
-
-
 def qcoord(x: float) -> float:
     """Snap a coordinate to the dyadic grid used for exact move reversal."""
     return round(x * QUANT) / QUANT
-
-
-def _cos_sin(angle: float):
-    """cos/sin with exact snapping near the axis directions, so a unit at
-    pi/2 has exactly swapped axes. The snap covers the dyadic grid's
-    rounding, which leaves qcoord(pi/2) up to 2**-21 away."""
-    c, s = math.cos(angle), math.sin(angle)
-    if abs(c) < AXIS_SNAP:
-        c = 0.0
-    elif abs(abs(c) - 1.0) < AXIS_SNAP:
-        c = math.copysign(1.0, c)
-    if abs(s) < AXIS_SNAP:
-        s = 0.0
-    elif abs(abs(s) - 1.0) < AXIS_SNAP:
-        s = math.copysign(1.0, s)
-    return c, s
 
 
 class UnitType(IntEnum):
@@ -83,9 +62,11 @@ class WorldCell(IntEnum):
 
 @dataclass(frozen=True)
 class Unit:
-    """Axis-aligned rectangle: center (cx, cy), half extents (hu, hv) along
-    the local u/v axes, and an angle in radians whose snapped cos/sin put
-    the u axis along x or y (ValueError for any other angle)."""
+    """An x/y box: center (cx, cy) and half extents hu along x and hv along
+    y. The angle, kept for the world.json schema, is always 0.0: an angle
+    within 2**-20 of a multiple of pi/2 is taken as that many quarter turns,
+    an odd number of which swaps hu and hv, and any other angle raises
+    ValueError."""
 
     uid: int
     cx: float
@@ -97,8 +78,17 @@ class Unit:
     def __post_init__(self):
         if self.hu <= 0 or self.hv <= 0:
             raise ValueError("half extents must be positive")
-        if self.angle != 0.0 and 0.0 not in _cos_sin(self.angle):
-            raise ValueError(f"unit {self.uid} is not axis-aligned: angle {self.angle!r}")
+        if self.angle:
+            quarter = math.pi / 2.0
+            # checked before round, which raises OverflowError on inf
+            turns = round(self.angle / quarter) if math.isfinite(self.angle) else None
+            if turns is None or abs(self.angle - turns * quarter) > 1.0 / QUANT:
+                raise ValueError(f"unit {self.uid} is not axis-aligned: angle {self.angle!r}")
+            if turns % 2:
+                hu, hv = self.hv, self.hu
+                object.__setattr__(self, "hu", hu)
+                object.__setattr__(self, "hv", hv)
+            object.__setattr__(self, "angle", 0.0)
 
     @property
     def long(self) -> float:
@@ -112,32 +102,17 @@ class Unit:
     def area(self) -> float:
         return 4.0 * self.hu * self.hv
 
-    def axes(self):
-        c, s = _cos_sin(self.angle)
-        return (c, s), (-s, c)
-
     def vertices(self):
-        """Corner points, counter-clockwise starting at (+u, +v)."""
-        (ux, uy), (vx, vy) = self.axes()
-        pts = []
-        for su, sv in ((1, 1), (-1, 1), (-1, -1), (1, -1)):
-            pts.append(
-                (
-                    self.cx + su * self.hu * ux + sv * self.hv * vx,
-                    self.cy + su * self.hu * uy + sv * self.hv * vy,
-                )
-            )
-        return pts
+        """Corner points, counter-clockwise starting at (+x, +y)."""
+        x0, y0, x1, y1 = self.aabb()
+        return [(x1, y1), (x0, y1), (x0, y0), (x1, y0)]
 
     def aabb(self):
-        """Axis-aligned bounding box (x0, y0, x1, y1) in continuous coords."""
-        c, s = _cos_sin(self.angle)
-        ex = abs(self.hu * c) + abs(self.hv * s)
-        ey = abs(self.hu * s) + abs(self.hv * c)
-        return (self.cx - ex, self.cy - ey, self.cx + ex, self.cy + ey)
+        """The box (x0, y0, x1, y1) in continuous coords."""
+        return (self.cx - self.hu, self.cy - self.hv, self.cx + self.hu, self.cy + self.hv)
 
     def wall_length(self, wall: int) -> float:
-        """Length of wall 0..3 = (+u, -u, +v, -v)."""
+        """Length of wall 0..3 = (+x, -x, +y, -y)."""
         return 2.0 * (self.hv if wall < 2 else self.hu)
 
 
@@ -262,7 +237,7 @@ def _carve_box(door: Door):
     cell. ValueError for a door along neither axis."""
     (px, py), (qx, qy) = door.p0, door.p1
     if px != qx and py != qy:
-        raise ValueError("door segment is neither horizontal nor vertical")
+        raise ValueError(f"door {door.p0} -> {door.p1} is neither horizontal nor vertical")
     hw = door.carve_halfwidth
     x0 = math.floor(min(px, qx) - hw) - 1
     y0 = math.floor(min(py, qy) - hw) - 1
@@ -271,6 +246,12 @@ def _carve_box(door: Door):
     if not xs.size:
         return None
     return x0 + int(xs.min()), x0 + int(xs.max()), y0 + int(ys.min()), y0 + int(ys.max())
+
+
+def _door_carves(doors, w: int, h: int):
+    """The end-exclusive cell boxes the doors carve, each clipped to a w x h
+    frame; ValueError for a door along neither axis."""
+    return [_clip_box(box, w, h) for d in doors if (box := _carve_box(d)) is not None]
 
 
 def _cell_span(center: float, extent: float):
@@ -287,12 +268,10 @@ def _unit_spans(unit: Unit, thickness: float):
     the latter None when the band fills the footprint. A cell is on the
     band when its center lies within thickness of an edge, so a half extent
     of exactly thickness leaves the center cells open."""
-    c, _ = _cos_sin(unit.angle)
-    ex, ey = (unit.hv, unit.hu) if c == 0.0 else (unit.hu, unit.hv)
-    outer = _cell_span(unit.cx, ex) + _cell_span(unit.cy, ey)
+    outer = _cell_span(unit.cx, unit.hu) + _cell_span(unit.cy, unit.hv)
     inner = None
-    if ex >= thickness and ey >= thickness:
-        inner = _cell_span(unit.cx, ex - thickness) + _cell_span(unit.cy, ey - thickness)
+    if unit.hu >= thickness and unit.hv >= thickness:
+        inner = _cell_span(unit.cx, unit.hu - thickness) + _cell_span(unit.cy, unit.hv - thickness)
         if inner[0] > inner[1] or inner[2] > inner[3]:
             inner = None
     return outer, inner
@@ -352,10 +331,10 @@ def rasterize(
     """Rasterize unit footprints over the full input frame.
 
     A cell inside some unit and within wall_thickness of that unit's edge is
-    WALL unless a door segment carves it open. Interior cells whose input is
+    WALL unless a door's carve box opens it. Interior cells whose input is
     unknown (or occupied, when enabled) are OBJECT candidates, the rest
     FREE_IN. Cells in no unit are UNKNOWN_OUT. The owner is the lowest uid
-    among containing units.
+    among containing units. ValueError for a door along neither axis.
     """
     if wall_thickness < 1:
         raise ValueError("wall_thickness must be >= 1")
@@ -371,8 +350,8 @@ def rasterize(
         owner[y0:y1, x0:x1] = u.uid
         _paint_band(wall_any, boxes)
 
-    for d in doors:
-        wall_any[_segment_mask(d.p0, d.p1, d.carve_halfwidth, (0, 0, w, h))] = False
+    for x0, x1, y0, y1 in _door_carves(doors, w, h):
+        wall_any[y0:y1, x0:x1] = False
 
     # region 0 outside every unit, 1 inside, 2 on an uncarved wall band
     region = (membership > 0).view(np.int8) + wall_any.view(np.int8)
@@ -387,26 +366,17 @@ def rasterize(
 
 
 def _ring_boxes(unit: Unit, w: int, h: int, radius: int):
-    """The one-cell wall strips of a unit, in wall order +u, -u, +v, -v, as
-    end-exclusive boxes (x0, x1, y0, y1), each clipped to a w x h frame,
-    grown by radius and clipped again; their union is the unit's boundary
-    ring dilated on the frame. A strip off the frame is the empty box (0,
-    0, 0, 0)."""
+    """The one-cell wall strips of a unit, the footprint's outermost column
+    or row on each side in wall order +x, -x, +y, -y, as end-exclusive
+    boxes (x0, x1, y0, y1), each clipped to a w x h frame, grown by radius
+    and clipped again; their union is the unit's boundary ring dilated on
+    the frame. A strip off the frame is the empty box (0, 0, 0, 0)."""
     ix0, ix1, iy0, iy1 = _unit_spans(unit, 1.0)[0]
     if ix0 > ix1 or iy0 > iy1:
         return ((0, 0, 0, 0),) * 4
-    # a one-cell strip is the footprint's outermost column or row on the
-    # side its wall normal points to
-    strips = {
-        (1, 0): (ix1, ix1, iy0, iy1),
-        (-1, 0): (ix0, ix0, iy0, iy1),
-        (0, 1): (ix0, ix1, iy1, iy1),
-        (0, -1): (ix0, ix1, iy0, iy0),
-    }
-    c, s = _cos_sin(unit.angle)
     boxes = []
-    for normal in ((c, s), (-c, -s), (-s, c), (s, -c)):
-        x0, x1, y0, y1 = _clip_box(strips[normal], w, h)
+    for strip in ((ix1, ix1, iy0, iy1), (ix0, ix0, iy0, iy1), (ix0, ix1, iy1, iy1), (ix0, ix1, iy0, iy0)):
+        x0, x1, y0, y1 = _clip_box(strip, w, h)
         if x0 < x1 and y0 < y1:
             boxes.append((max(x0 - radius, 0), min(x1 + radius, w), max(y0 - radius, 0), min(y1 + radius, h)))
         else:
@@ -467,7 +437,7 @@ def wall_length_difference(a: Unit, b: Unit, shape, dilate_radius: int = 3, min_
 
     Returns (len_a, len_b, d) where each length is the full side length (in
     cells) of the wall whose dilated strip carries the most of the a-b ring
-    overlap, the first such wall in order +u, -u, +v, -v, and d = |len_a -
+    overlap, the first such wall in order +x, -x, +y, -y, and d = |len_a -
     len_b|; None when the rings share fewer than min_overlap_cells cells.
     """
     h, w = shape
@@ -825,6 +795,8 @@ def world_from_dict(doc: dict) -> World:
         )
         for d in _records(doc.get("doors", []), "doors")
     )
+    for d in doors:
+        _carve_box(d)  # ValueError for a door along neither axis
     objects = tuple(_component_from_dict(c) for c in _records(doc.get("objects", []), "objects"))
     unexplored = tuple(_component_from_dict(c) for c in _records(doc.get("unexplored", []), "unexplored"))
     resolution = _number(doc.get("resolution", 0.05), "resolution")

@@ -2,13 +2,15 @@
 randomized synthetic floors with known ground truth, and the per-cell mask
 rule that the library's box geometry is checked against."""
 
+import math
+
 import numpy as np
 import pytest
 
 from semmap.config import RunConfig
 from semmap.evaluation import SyntheticSpec
 from semmap.grid import CellState, ClassifiedGrid
-from semmap.world import Unit, WorldCell, _cos_sin, _segment_mask
+from semmap.world import Unit, WorldCell, _segment_mask
 
 # ---------------------------------------------------------------------------
 # the mask rule: unit cells decided cell by cell from local coordinates
@@ -16,11 +18,15 @@ from semmap.world import Unit, WorldCell, _cos_sin, _segment_mask
 
 def unit_local_coords(unit, shape):
     """Signed offsets (du, dv) of every frame cell center from the unit's
-    center along its local u and v axes."""
+    center along its local u and v axes, the u axis turned from x by the
+    unit's angle. A unit's angle is always 0.0; a rectangle given as any
+    object with the fields of a Unit may carry a quarter-turn angle."""
     h, w = shape
     xs = np.arange(w, dtype=np.float64) + 0.5 - unit.cx
     ys = np.arange(h, dtype=np.float64) + 0.5 - unit.cy
-    c, s = _cos_sin(unit.angle)
+    # rounded to the nearest axis, so a quarter turn snapped to the dyadic
+    # grid turns exactly
+    c, s = round(math.cos(unit.angle)), round(math.sin(unit.angle))
     return xs[None, :] * c + ys[:, None] * s, -xs[None, :] * s + ys[:, None] * c
 
 

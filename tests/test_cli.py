@@ -106,6 +106,17 @@ def test_infer_unwritable_out_exit_2(tmp_path, demo_pgm, capsys):
     assert len(err) == 1 and "Traceback" not in err[0]
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_infer_bad_resolution_exit_2(tmp_path, demo_pgm, capsys, value):
+    pgm, _ = demo_pgm
+    out = tmp_path / "out"
+    rc = main(["infer", pgm, "--out", str(out), "--iterations", "0", f"--resolution={value}"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0] and "--resolution" in err[0]
+    assert not out.exists()
+
+
 def test_synth_unwritable_out_exit_2(tmp_path, capsys):
     rc = main(["synth", "demo", "--out", str(tmp_path / "missing" / "demo")])
     assert rc == 2
@@ -254,6 +265,18 @@ def test_eval_full_map_roi_warning(tmp_path, demo_pgm, capsys):
     assert "full map" in err
 
 
+@pytest.mark.parametrize(
+    "roi",
+    [("0", "0", "0", "0"), ("50", "40", "20", "60"), ("5000", "0", "6000", "50"), ("-90", "-90", "-10", "-10")],
+    ids=["zero", "inverted", "right_of_map", "left_of_map"],
+)
+def test_eval_empty_roi_exit_2(demo_pgm, capsys, roi):
+    pgm, truth_path = demo_pgm
+    assert main(["eval", truth_path, pgm, "--roi", *roi]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "Traceback" not in err[0] and "roi" in err[0]
+
+
 def test_eval_missing_world_exit_1(tmp_path, demo_pgm):
     pgm, _ = demo_pgm
     assert main(["eval", str(tmp_path / "nope.json"), pgm]) == 1
@@ -272,6 +295,11 @@ def _with_first_unit(doc, **fields):
         pytest.param("world", lambda doc: _with_first_unit(doc, center="ab"), id="unit_center_string"),
         pytest.param("world", lambda doc: dict(doc, relations=[[1]]), id="relations_not_units_by_units"),
         pytest.param("world", lambda doc: _with_first_unit(doc, angle=0.7), id="unit_rotated"),
+        pytest.param(
+            "world",
+            lambda doc: dict(doc, doors=[{"units": [0, 1], "p0": [10.0, 10.0], "p1": [14.0, 12.0], "width": 4.0}]),
+            id="door_slanted",
+        ),
         pytest.param("truth", lambda doc: [], id="truth_not_an_object"),
     ],
 )

@@ -1,9 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import TWO_ROOMS_A, TWO_ROOMS_H, TWO_ROOMS_R1, TWO_ROOMS_R3, build_two_rooms_map, floor_spec
+from conftest import TWO_ROOMS_A, TWO_ROOMS_H, TWO_ROOMS_R1, TWO_ROOMS_R3, build_two_rooms_map, floor_spec, unit_masks
 
 from semmap.config import RunConfig
 from semmap.errors import EmptyMap, NotApplicable
@@ -20,8 +21,17 @@ from semmap.mcmc import (
     split_unit,
 )
 from semmap.mln import hard_rules
-from semmap.scoring import log_prior
-from semmap.world import Unit, UnitType, World, detect_relations, geometry_to_type, qcoord
+from semmap.scoring import LikelihoodConfig, LikelihoodField, SensorModelTable, log_prior
+from semmap.world import (
+    Unit,
+    UnitType,
+    World,
+    _ring_boxes,
+    _unit_boxes,
+    detect_relations,
+    geometry_to_type,
+    qcoord,
+)
 
 
 def free_box_grid(w=80, h=60, seed=None):
@@ -60,7 +70,7 @@ def test_move_wall_reversible_with_rotation():
 
 def test_move_wall_changes_one_edge():
     u = Unit(0, 20.0, 20.0, 10.0, 8.0)
-    out = move_wall(u, 0, 4.0)  # +u wall outward
+    out = move_wall(u, 0, 4.0)  # +x wall outward
     assert out.hu == 12.0 and out.cx == 22.0
     assert out.hv == u.hv and out.cy == u.cy
 
@@ -76,13 +86,11 @@ def test_split_then_merge_restores_parent_footprint():
 
 
 def test_split_children_cover_parent_interval_rotated():
-    # rotated frames reassemble to within the dyadic quantum; the proposal
-    # path restores exactly through recorded reverse parameters instead
+    # a quarter-turned unit is the box with swapped extents, so its children
+    # reassemble it exactly
     u = Unit(0, 50.0, 50.0, 20.0, 10.0, angle=qcoord(math.pi / 2))
     c1, c2 = split_unit(u, 1, -4.0, 1, 2)
-    merged = merge_units(c1, c2, 3)
-    for got, want in ((merged.cx, u.cx), (merged.cy, u.cy), (merged.hu, u.hu), (merged.hv, u.hv)):
-        assert got == pytest.approx(want, abs=1e-4)
+    assert merge_units(c1, c2, 0) == u == Unit(0, 50.0, 50.0, 10.0, 20.0)
 
 
 def test_interchange_conserves_area_exactly():
@@ -102,6 +110,73 @@ def test_interchange_requires_equal_cross_section():
     a = Unit(0, 20.0, 20.0, 10.0, 8.0)
     b = Unit(1, 40.0, 20.0, 10.0, 9.0)
     assert interchange_candidates((a, b), 3.0) == []
+
+
+def _lattice_unit(rng, uid, shape):
+    """A unit whose edges lie on the integer lattice, some past the frame."""
+    h, w = shape
+    x0, y0 = int(rng.integers(-4, w)), int(rng.integers(-4, h))
+    width, height = int(rng.integers(2, 41)), int(rng.integers(2, 41))
+    return Unit(uid, x0 + width / 2.0, y0 + height / 2.0, width / 2.0, height / 2.0)
+
+
+def _box(u):
+    """The edges (x0, x1, y0, y1) of a unit."""
+    return u.cx - u.hu, u.cx + u.hu, u.cy - u.hv, u.cy + u.hv
+
+
+def test_kernels_are_box_edits_on_random_lattice_units():
+    rng = np.random.default_rng(41)
+    shape = (50, 70)
+    h, w = shape
+    grid = ClassifiedGrid(rng.integers(0, 3, size=shape).astype(np.int8))
+    field = LikelihoodField(grid, SensorModelTable(), LikelihoodConfig())
+    for _ in range(300):
+        u = _lattice_unit(rng, int(rng.integers(10)), shape)
+        x0, x1, y0, y1 = _box(u)
+
+        # move_wall moves exactly the one edge of wall 0..3 = +x, -x, +y, -y
+        wall = int(rng.integers(4))
+        delta = float(rng.integers(-5, 6))
+        want = [x0, x1, y0, y1]
+        want[(1, 0, 3, 2)[wall]] += delta if wall % 2 == 0 else -delta
+        if want[0] < want[1] and want[2] < want[3]:
+            moved = move_wall(u, wall, delta)
+            assert (moved.uid, moved.angle, _box(moved)) == (u.uid, 0.0, tuple(want))
+            assert move_wall(moved, wall, -delta) == u
+
+        # split_unit's children tile the parent box, below and above the cut
+        axis = int(rng.integers(2))
+        lo, hi = (x0, x1) if axis == 0 else (y0, y1)
+        if hi - lo >= 2:
+            cut = float(rng.integers(lo + 1, hi))
+            c1, c2 = split_unit(u, axis, cut - (u.cx if axis == 0 else u.cy), 20, 21)
+            if axis == 0:
+                assert (_box(c1), _box(c2)) == ((x0, cut, y0, y1), (cut, x1, y0, y1))
+            else:
+                assert (_box(c1), _box(c2)) == ((x0, x1, y0, cut), (x0, x1, cut, y1))
+            assert (c1.uid, c2.uid) == (20, 21)
+            assert merge_units(c1, c2, u.uid) == u
+
+        # merge_units gives the union box
+        v = _lattice_unit(rng, 11, shape)
+        vx0, vx1, vy0, vy1 = _box(v)
+        merged = merge_units(u, v, 12)
+        assert merged.uid == 12
+        assert _box(merged) == (min(x0, vx0), max(x1, vx1), min(y0, vy0), max(y1, vy1))
+
+        # a quarter turn is the box with swapped extents, in every geometry
+        a, b = u.hu, u.hv
+        turned = Unit(u.uid, u.cx, u.cy, b, a, qcoord(math.pi / 2))
+        assert turned == u
+        drawn = SimpleNamespace(uid=u.uid, cx=u.cx, cy=u.cy, hu=b, hv=a, angle=qcoord(math.pi / 2))
+        for got, ref in zip(unit_masks(turned, shape, 2.0), unit_masks(drawn, shape, 2.0)):
+            assert np.array_equal(got, ref)
+        radius = int(rng.integers(0, 4))
+        assert _unit_boxes(turned, 2.0, w, h) == _unit_boxes(u, 2.0, w, h)
+        assert _ring_boxes(turned, w, h, radius) == _ring_boxes(u, w, h, radius)
+        worlds = [World(units=(x, v), types=(UnitType.ROOM, UnitType.CORRIDOR)) for x in (turned, u)]
+        assert field.score(worlds[0]) == field.score(worlds[1])
 
 
 def test_apply_kernel_add_remove_roundtrip():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -316,26 +317,20 @@ def _expected_carve_box(door, shape):
 
 
 def _random_axis_world(rng, shape):
-    """Overlapping axis-aligned units on a quarter-cell grid, some turned by
-    qcoord(pi/2), some clipped at the frame edge and some thinner than the
-    wall band; random types and non-contiguous uids; horizontal and
-    vertical doors, some across coordinates off the dyadic grid, some
-    carves overlapping."""
+    """Overlapping axis-aligned units on a quarter-cell grid, some drawn
+    turned by qcoord(pi/2), some clipped at the frame edge and some thinner
+    than the wall band; random types and non-contiguous uids; horizontal
+    and vertical doors, some across coordinates off the dyadic grid, some
+    carves overlapping. Returns the world and the drawn angles."""
     h, w = shape
     n = int(rng.integers(0, 7))
     uids = rng.choice(20, size=n, replace=False)
-    units = []
+    units, angles = [], []
     for uid in uids:
-        units.append(
-            Unit(
-                int(uid),
-                float(rng.integers(-20, 4 * w + 20)) / 4.0,
-                float(rng.integers(-20, 4 * h + 20)) / 4.0,
-                float(rng.integers(2, 80)) / 4.0,
-                float(rng.integers(2, 80)) / 4.0,
-                float(rng.choice([0.0, qcoord(math.pi / 2), qcoord(math.pi)])),
-            )
-        )
+        cx, cy = float(rng.integers(-20, 4 * w + 20)) / 4.0, float(rng.integers(-20, 4 * h + 20)) / 4.0
+        hu, hv = float(rng.integers(2, 80)) / 4.0, float(rng.integers(2, 80)) / 4.0
+        angles.append(float(rng.choice([0.0, qcoord(math.pi / 2), qcoord(math.pi)])))
+        units.append(Unit(int(uid), cx, cy, hu, hv, angles[-1]))
     types = tuple(UnitType(int(t)) for t in rng.integers(0, 4, size=n))
     doors = []
     for _ in range(int(rng.integers(0, 4))):
@@ -352,7 +347,7 @@ def _random_axis_world(rng, shape):
         if rng.random() < 0.3:  # a second carve overlapping the first
             shift = float(rng.integers(1, 12)) / 4.0
             doors.append(Door(0, 1, (p0[0] + shift, p0[1] + shift), (p1[0] + shift, p1[1] + shift), length))
-    return World(units=tuple(units), types=types, doors=tuple(doors))
+    return World(units=tuple(units), types=types, doors=tuple(doors)), angles
 
 
 def test_wall_band_leaves_center_open_at_half_extent_equal_to_thickness():
@@ -378,7 +373,7 @@ def test_field_score_matches_full_rescore_on_random_axis_aligned_worlds():
     full = (0, 0, shape[1], shape[0])
     seen = {"overlap": 0, "half_pi": 0, "corridor": 0, "clipped": 0, "carved": 0, "carves_overlap": 0}
     for i in range(200):
-        world = _random_axis_world(rng, shape)
+        world, angles = _random_axis_world(rng, shape)
         thickness = (1.0, 2.0, 2.5)[i % 3]
         psi = (0.5, 0.3)[i % 2]
         field = LikelihoodField(grid, SensorModelTable(), LikelihoodConfig(psi=psi), thickness, i % 4 != 0)
@@ -403,7 +398,7 @@ def test_field_score_matches_full_rescore_on_random_axis_aligned_worlds():
         plain = rasterize(world.units, grid, thickness)
         seen["carved"] += int(np.count_nonzero(states.states != plain.states))
         seen["overlap"] += int(np.count_nonzero(states.membership >= 2))
-        seen["half_pi"] += sum(u.angle == qcoord(math.pi / 2) for u in world.units)
+        seen["half_pi"] += angles.count(qcoord(math.pi / 2))
         seen["corridor"] += sum(t == UnitType.CORRIDOR for t in world.types)
         seen["clipped"] += sum(
             u.aabb()[0] < 0 or u.aabb()[1] < 0 or u.aabb()[2] > shape[1] or u.aabb()[3] > shape[0] for u in world.units
@@ -469,7 +464,7 @@ def test_rasterize_and_terms_bit_exact_vs_reference(object_from_occupied):
     shape = (48, 64)
     grid = ClassifiedGrid(rng.integers(0, 3, size=shape).astype(np.int8))
     tables = SensorModelTable()
-    seen = {"slanted": 0, "overlap": 0, "carved": 0, "corridor": 0, "scored": 0}
+    seen = {"slanted": 0, "overlap": 0, "carved": 0, "corridor": 0}
     for _ in range(150):
         world = _random_world(rng, shape)
         thickness = float(rng.choice([1.0, 2.0, 2.5]))
@@ -477,6 +472,13 @@ def test_rasterize_and_terms_bit_exact_vs_reference(object_from_occupied):
         field = LikelihoodField(
             grid, tables, LikelihoodConfig(psi=psi), thickness, object_from_occupied
         )
+        slanted = sum(d.p0[0] != d.p1[0] and d.p0[1] != d.p1[1] for d in world.doors)
+        if slanted:
+            # a door carves its box, which a slanted door does not have
+            for fn in (lambda: rasterize(world.units, grid, thickness, world.doors), lambda: field.score(world)):
+                with pytest.raises(ValueError):
+                    fn()
+            world = replace(world, doors=tuple(d for d in world.doors if d.p0[0] == d.p1[0] or d.p0[1] == d.p1[1]))
         got = rasterize(world.units, grid, thickness, world.doors, object_from_occupied)
         want = ref_rasterize(world.units, grid.states, thickness, world.doors, object_from_occupied)
         for g, r in zip((got.states, got.membership, got.owner), want):
@@ -484,13 +486,7 @@ def test_rasterize_and_terms_bit_exact_vs_reference(object_from_occupied):
             assert np.array_equal(g, r)
         ref_terms = _ref_terms(grid.states, *want, world, tables, math.log(psi))
         assert field.full_rescore(world) == float(ref_terms.sum())
-        slanted = sum(d.p0[0] != d.p1[0] and d.p0[1] != d.p1[1] for d in world.doors)
-        if not slanted:
-            assert abs(field.score(world) - float(ref_terms.sum())) <= 1e-9
-            seen["scored"] += 1
-        else:
-            with pytest.raises(ValueError):
-                field.score(world)
+        assert abs(field.score(world) - float(ref_terms.sum())) <= 1e-9
         no_doors = ref_rasterize(world.units, grid.states, thickness, (), object_from_occupied)[0]
         seen["carved"] += int(np.count_nonzero(no_doors != want[0]))
         seen["overlap"] += int(np.count_nonzero(want[1] >= 2))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -70,11 +71,14 @@ def test_unit_rejects_nonpositive_extents():
 def test_unit_rejects_rotated_angles():
     with pytest.raises(ValueError):
         Unit(0, 20, 20, 8, 6, 0.3)
-    for angle in (0.7, math.pi / 4, qcoord(math.pi / 2) + 2**-10, math.nan):
+    for angle in (0.7, math.pi / 4, qcoord(math.pi / 2) + 2**-10, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             Unit(0, 20.0, 20.0, 8.0, 6.0, angle)
-    for angle in (0.0, -0.0, math.pi / 2, math.pi, qcoord(math.pi / 2), qcoord(math.pi), 3 * math.pi / 2):
-        assert Unit(0, 20.0, 20.0, 8.0, 6.0, angle).angle == angle
+    # a quarter turn is stored as swapped extents, a half turn as none
+    for angle in (0.0, -0.0, math.pi, qcoord(math.pi), -math.pi):
+        assert astuple(Unit(0, 20.0, 20.0, 8.0, 6.0, angle)) == (0, 20.0, 20.0, 8.0, 6.0, 0.0)
+    for angle in (math.pi / 2, qcoord(math.pi / 2), 3 * math.pi / 2, -math.pi / 2):
+        assert astuple(Unit(0, 20.0, 20.0, 8.0, 6.0, angle)) == (0, 20.0, 20.0, 6.0, 8.0, 0.0)
 
 
 def test_wall_lengths():
@@ -157,7 +161,8 @@ def test_relations_count_ring_cells_on_the_whole_frame():
 
 def _ref_rings(unit, shape, radius):
     """The full-frame masks of a unit's dilated boundary ring and of its
-    dilated wall strips in wall order +u, -u, +v, -v."""
+    dilated wall strips in wall order +u, -u, +v, -v of its local axes,
+    which for a Unit are +x, -x, +y, -y."""
     du, dv = unit_local_coords(unit, shape)
     inside, band = unit_masks(unit, shape, 1.0)
     walls = (
@@ -207,8 +212,9 @@ def _ref_doors(a, b, overlap, grid, min_width, max_width, carve_halfwidth, occup
 
 
 def _random_axis_aligned_unit(rng, uid, near, shape):
-    """Half-integer-grid unit, axis-aligned or turned by pi/2, some thinner
-    than a cell or reaching past the frame; near another unit when given."""
+    """Half-integer-grid unit drawn axis-aligned or turned by pi/2, some
+    thinner than a cell or reaching past the frame; near another unit when
+    given. Returns the unit and the drawn angle."""
     h, w = shape
     if near is None:
         cx, cy = float(rng.integers(-16, 4 * w + 16)) / 4.0, float(rng.integers(-16, 4 * h + 16)) / 4.0
@@ -219,7 +225,7 @@ def _random_axis_aligned_unit(rng, uid, near, shape):
     if rng.random() < 0.15:
         hu = float(rng.integers(1, 6)) / 4.0
     angle = qcoord(math.pi / 2) if rng.random() < 0.3 else 0.0
-    return Unit(uid, cx, cy, hu, hv, angle)
+    return Unit(uid, cx, cy, hu, hv, angle), angle
 
 
 def test_pair_geometry_equals_full_frame_masks_on_random_pairs():
@@ -234,8 +240,8 @@ def test_pair_geometry_equals_full_frame_masks_on_random_pairs():
     seen = {"overlap": 0, "related": 0, "doors": 0, "turned": 0, "thin": 0, "edge": 0, "radius0": 0}
     for i in range(2000):
         radius = int(rng.integers(0, 4))
-        a = _random_axis_aligned_unit(rng, 0, None, shape)
-        b = _random_axis_aligned_unit(rng, 1, a, shape)
+        a, angle_a = _random_axis_aligned_unit(rng, 0, None, shape)
+        b, angle_b = _random_axis_aligned_unit(rng, 1, a, shape)
         ring_a, walls_a = _ref_rings(a, shape, radius)
         ring_b, walls_b = _ref_rings(b, shape, radius)
         overlap = ring_a & ring_b
@@ -261,7 +267,7 @@ def test_pair_geometry_equals_full_frame_masks_on_random_pairs():
         seen["overlap"] += cells > 0
         seen["related"] += bool(rel[0, 1])
         seen["doors"] += len(doors)
-        seen["turned"] += cells > 0 and (a.angle != 0.0 or b.angle != 0.0)
+        seen["turned"] += cells > 0 and (angle_a != 0.0 or angle_b != 0.0)
         seen["thin"] += cells > 0 and min(a.hu, a.hv, b.hu, b.hv) < 1.0
         seen["edge"] += cells > 0 and any(
             u.cx - u.long < 0 or u.cy - u.long < 0 or u.cx + u.long > w or u.cy + u.long > h for u in (a, b)
@@ -315,9 +321,10 @@ def test_rasterize_half_pi_unit_equals_axis_aligned_with_swapped_extents(thickne
 
 
 def _random_quarter_turn_unit(rng, uid, shape, near=None):
-    """A unit on the quarter-cell grid at angle 0, pi/2 or pi with half
-    extents from 0.25 cells, its center up to 5 cells past the frame edge
-    or, when given, within 10 cells of another unit's."""
+    """A unit on the quarter-cell grid drawn at angle 0, pi/2 or pi with
+    half extents from 0.25 cells, its center up to 5 cells past the frame
+    edge or, when given, within 10 cells of another unit's. Returns the
+    unit and the drawn angle."""
     h, w = shape
     if near is None:
         cx, cy = float(rng.integers(-20, 4 * w + 21)) / 4.0, float(rng.integers(-20, 4 * h + 21)) / 4.0
@@ -325,7 +332,8 @@ def _random_quarter_turn_unit(rng, uid, shape, near=None):
         cx = near.cx + float(rng.integers(-40, 41)) / 4.0
         cy = near.cy + float(rng.integers(-40, 41)) / 4.0
     hu, hv = (float(rng.integers(1, 64)) / 4.0 for _ in range(2))
-    return Unit(uid, cx, cy, hu, hv, float(rng.choice([0.0, math.pi / 2, math.pi])))
+    angle = float(rng.choice([0.0, math.pi / 2, math.pi]))
+    return Unit(uid, cx, cy, hu, hv, angle), angle
 
 
 def test_box_path_equals_mask_rule_on_random_axis_aligned_worlds(tmp_path):
@@ -336,7 +344,8 @@ def test_box_path_equals_mask_rule_on_random_axis_aligned_worlds(tmp_path):
     seen = {"turned": 0, "thin": 0, "open_center": 0, "edge": 0, "overlap": 0, "matched": 0}
     for i in range(150):
         uids = rng.choice(30, size=int(rng.integers(1, 6)), replace=False)
-        units = tuple(_random_quarter_turn_unit(rng, int(uid), shape) for uid in uids)
+        drawn = [_random_quarter_turn_unit(rng, int(uid), shape) for uid in uids]
+        units = tuple(u for u, _ in drawn)
         thickness = (1.0, 2.0, 2.5)[i % 3]
         got = rasterize(units, grid, thickness, object_from_occupied=i % 2 == 0)
         want = ref_rasterize(units, grid.states, thickness, object_from_occupied=i % 2 == 0)
@@ -355,7 +364,7 @@ def test_box_path_equals_mask_rule_on_random_axis_aligned_worlds(tmp_path):
 
         # topology_match pairs two single units exactly when their IoU reaches the threshold
         for a in units:
-            b = _random_quarter_turn_unit(rng, 0, shape, near=a)
+            b = _random_quarter_turn_unit(rng, 0, shape, near=a)[0]
             ma, mb = unit_masks(a, shape, 1.0)[0], unit_masks(b, shape, 1.0)[0]
             pred, truth = World(units=(a,), types=(UnitType.ROOM,)), World(units=(b,), types=(UnitType.ROOM,))
             inter = int(np.count_nonzero(ma & mb))
@@ -367,7 +376,7 @@ def test_box_path_equals_mask_rule_on_random_axis_aligned_worlds(tmp_path):
             assert topology_match(pred, truth, shape, float(np.nextafter(iou, 2.0)))["matched_units"] == 0
             seen["matched"] += 1
 
-        seen["turned"] += sum(u.angle != 0.0 for u in units)
+        seen["turned"] += sum(angle != 0.0 for _, angle in drawn)
         seen["thin"] += sum(u.short < thickness for u in units)
         seen["open_center"] += sum(thickness in (u.hu, u.hv) for u in units)
         seen["edge"] += sum(
