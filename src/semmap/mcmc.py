@@ -16,6 +16,7 @@ full reversible-jump dimension-matching treatment.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from collections import deque
@@ -335,9 +336,11 @@ class Chain:
         self.best_score = -math.inf
 
         self._kernel_kinds = list(KernelKind)
-        self._kernel_probs = np.array(
-            [config.kernel_weights[k.name.lower()] for k in self._kernel_kinds]
-        )
+        # the cumulative distribution Generator.choice(p=weights) draws from:
+        # one random() per draw, bisected from the right
+        cdf = np.cumsum([config.kernel_weights[k.name.lower()] for k in self._kernel_kinds])
+        cdf /= cdf[-1]
+        self._kernel_cdf = cdf.tolist()
 
         self._initialize()
 
@@ -548,7 +551,7 @@ class Chain:
                     (len(seeds) + 1) * 81.0
                 )
             else:
-                q_rev = math.log(self._kernel_weight(KernelKind.ALLOCATE)) + self._allocate_log_density()
+                q_rev = math.log(self._kernel_weight(KernelKind.ALLOCATE)) + self._allocate_log_density(victim)
             q_rev = max(q_rev, MIN_LOG_DENSITY)
             params = (victim.uid,)
             return self._finish(kind, params, (victim,), (), q_rev - q_fwd)
@@ -566,7 +569,7 @@ class Chain:
             unit = Unit(self.next_uid, qcoord(ex0 + width / 2.0), qcoord(ey0 + height / 2.0), hu, hv)
             if not self._unit_valid(unit):
                 raise NotApplicable("allocated unit invalid")
-            q_fwd = math.log(self._kernel_weight(kind)) + self._allocate_log_density()
+            q_fwd = math.log(self._kernel_weight(kind)) + self._allocate_log_density(unit)
             q_rev = math.log(self._kernel_weight(KernelKind.DELETE)) - math.log(n + 1)
             params = (unit,)
             return self._finish(kind, params, (), (unit,), q_rev - q_fwd)
@@ -660,17 +663,26 @@ class Chain:
 
         raise NotApplicable(f"unhandled kernel {kind}")
 
-    def _allocate_log_density(self) -> float:
+    def _allocate_log_density(self, unit: Unit) -> float:
+        """Log probability that an ALLOCATE draw gives the unit's box: the
+        draws reaching it, tails with half extents (a, b) = (hu, hv) and
+        heads with (hv, hu), each from the corner (cx - a, cy - b), over all
+        draws; -inf when no draw reaches it."""
         w, h = self.shape[1], self.shape[0]
-        hmin = ALLOCATE_HALF_MIN
-        hmax = min(ALLOCATE_HALF_MAX, max(w, h) / 2.0)
-        span = max(int(hmax) - int(hmin) + 1, 1)
-        return -(
-            math.log(max(w - 1, 1))
-            + math.log(max(h - 1, 1))
-            + 2.0 * math.log(span)
-            + math.log(2.0)
+        lo, hi = int(ALLOCATE_HALF_MIN), int(min(ALLOCATE_HALF_MAX, max(w, h) / 2.0))
+        nx, ny = max(w - 1, 1), max(h - 1, 1)
+
+        def drawn(x, low, high):  # an integer rng.integers(low, high) can return
+            return x == math.floor(x) and low <= x < high
+
+        paths = sum(
+            drawn(a, lo, hi + 1) and drawn(b, lo, hi + 1) and drawn(unit.cx - a, 0, nx) and drawn(unit.cy - b, 0, ny)
+            for a, b in ((unit.hu, unit.hv), (unit.hv, unit.hu))
         )
+        if not paths:
+            return -math.inf
+        span = max(hi - lo + 1, 1)
+        return math.log(paths) - (math.log(nx) + math.log(ny) + 2.0 * math.log(span) + math.log(2.0))
 
     def _finish(self, kind, params, changed_old, changed_new, log_ratio, new_units=None):
         if new_units is None:
@@ -724,9 +736,7 @@ class Chain:
             or self.geometric_since_refresh >= self.cfg.mln_refresh_geometric
         ):
             self.refresh()
-        kind = self._kernel_kinds[
-            int(self.rng.choice(len(self._kernel_kinds), p=self._kernel_probs))
-        ]
+        kind = self._kernel_kinds[bisect.bisect_right(self._kernel_cdf, self.rng.random())]
         stats = self.kernel_stats[kind]
         self.iteration += 1
         try:
@@ -793,6 +803,8 @@ class Chain:
             "mln_runs": self.mln_runs,
             "best_log_posterior": self.best_score,
             "final_units": len(self.best_units),
+            "score_calls": self.scorer.calls,
+            "score_cache_hits": self.scorer.cache_hits,
             "kernels": {
                 k.name.lower(): {
                     "proposed": s.proposed,

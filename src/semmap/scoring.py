@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,6 +247,13 @@ def _class_integrals(states: np.ndarray) -> np.ndarray:
 
 # corner weights of a box in a 2-D difference array
 _CORNERS = np.array([1.0, -1.0, -1.0, 1.0])
+# input class along the first axis of an elementary rectangle's counts
+_CLASSES = np.arange(3)[:, None, None]
+# distinct worlds a field keeps the score of, least recently scored first
+# out: a floor chain (perfbench map 0, 60,000 iterations) proposes 4,249
+# distinct worlds in 53,399 calls and revisits them soon, so 4,096 entries
+# catch every repeat (92.0% of the calls; 1,024 entries catch 88.2%)
+SCORE_CACHE_SIZE = 4096
 
 
 class LikelihoodField:
@@ -257,8 +265,13 @@ class LikelihoodField:
     elementary rectangles, each uniform in membership, wall band, carving
     and owner. The input's integral images give each rectangle's cell
     count per input class, so the log-likelihood is a histogram of cell
-    counts over the categories of _term_table dotted with the table: two
-    worlds with the same histogram score exactly the same. ``full_rescore``
+    counts over the categories of _term_table dotted with the table. The
+    table's layout does not depend on how many units the field has seen,
+    so two worlds with the same histogram score exactly the same, whatever
+    the field scored before. ``score`` therefore keeps the scores of the
+    last SCORE_CACHE_SIZE distinct worlds, by units, types and doors, and
+    a revisited world reads its score back bit for bit; ``calls`` and
+    ``cache_hits`` count the calls and the hits. ``full_rescore``
     rasterizes cell by cell; it is the oracle ``score`` is tested against.
     """
 
@@ -280,24 +293,43 @@ class LikelihoodField:
         self.integrals = _class_integrals(self.inp)
         self._flat_integrals = self.integrals.reshape(3, -1)
         self._set_weights(1)
+        self._cache = OrderedDict()
+        self.calls = 0
+        self.cache_hits = 0
 
     def _set_weights(self, n: int):
-        """Lay the _term_table of up to n units out by input class * K +
-        membership * 6 + corridor * 3 + region, K = 6 (n + 1); region is 0
-        outside every unit, 1 inside and 2 on an uncarved wall band."""
+        """Lay the _term_table of up to n units out by key * 3 + input
+        class, key = membership * 6 + corridor * 3 + region; region is 0
+        outside every unit, 1 inside and 2 on an uncarved wall band. No
+        entry's index depends on n."""
         table = _term_table(self.tables, n, self.log_psi)
-        m = np.arange(n + 1)[:, None, None]
-        corridor = np.arange(2)[:, None]
+        m = np.arange(n + 1)[:, None, None, None]
+        corridor = np.arange(2)[:, None, None]
+        # world state by [region, input class]
         states = _STATE_TABLES[bool(self.object_from_occupied)].reshape(3, 3)
-        self._weights = np.concatenate(
-            [table[m * 24 + corridor * 12 + c * 4 + states[:, c]].ravel() for c in range(3)]
-        )
-        self._class_offsets = (np.arange(3) * (6 * (n + 1)))[:, None, None]
+        self._weights = table[m * 24 + corridor * 12 + np.arange(3) * 4 + states].ravel()
         self._max_units = n
 
     def score(self, world: World) -> float:
         """Log-likelihood of a world whose doors are horizontal or vertical;
-        ValueError for a slanted door."""
+        ValueError for a slanted door. Read from the cache when the same
+        units, types and doors were scored recently."""
+        self.calls += 1
+        key = (world.units, world.types, world.doors)
+        cache = self._cache
+        value = cache.get(key)
+        if value is not None:
+            cache.move_to_end(key)
+            self.cache_hits += 1
+            return value
+        value = self._score(world)
+        if len(cache) >= SCORE_CACHE_SIZE:
+            cache.popitem(last=False)
+        cache[key] = value
+        return value
+
+    def _score(self, world: World) -> float:
+        """The rectangle-algebra log-likelihood of a world, uncached."""
         h, w = self.shape
         n = world.n
         boxes = [_unit_boxes(u, self.wall_thickness, w, h) for u in world.units]
@@ -348,7 +380,7 @@ class LikelihoodField:
             self._set_weights(n)
         f = self._flat_integrals.take(np.array(ys)[:, None] * (w + 1) + np.array(xs), axis=1)
         counts = f[:, 1:, 1:] - f[:, :-1, 1:] - f[:, 1:, :-1] + f[:, :-1, :-1]
-        hist = np.bincount((key + self._class_offsets).ravel(), weights=counts.ravel())
+        hist = np.bincount((key * 3 + _CLASSES).ravel(), weights=counts.ravel())
         return float(hist @ self._weights[: hist.size])
 
     def full_rescore(self, world: World) -> float:

@@ -1,3 +1,4 @@
+import bisect
 import math
 from types import SimpleNamespace
 
@@ -456,6 +457,73 @@ def test_run_returns_fully_derived_world():
     assert stats["iterations"] == 600
     assert stats["best_log_posterior"] > -math.inf
     assert set(stats["kernels"].keys()) == {k.name.lower() for k in KernelKind}
+
+
+def test_run_counts_likelihood_calls_and_cache_hits():
+    chain = Chain(free_box_grid(), small_config(seed=8, iterations=600))
+    _, _, stats = chain.run()
+    proposed = sum(k["proposed"] for k in stats["kernels"].values())
+    # one call per proposal, plus the refreshes' rescoring
+    assert stats["score_calls"] == chain.scorer.calls >= proposed
+    assert 0 < stats["score_cache_hits"] == chain.scorer.cache_hits
+    assert stats["score_calls"] - stats["score_cache_hits"] == len(chain.scorer._cache)
+
+
+def test_kernel_draw_is_generator_choice():
+    weights = {"add": 3.0, "remove": 3.0, "split": 0.0, "merge": 0.0, "shrink": 1.0, "dilate": 2.0,
+               "allocate": 0.5, "delete": 0.5, "interchange": 1.0}
+    for cfg, draws in ((small_config(iterations=0), 200_000), (small_config(iterations=0, kernel_weights=weights), 20_000)):
+        chain = Chain(free_box_grid(), cfg)
+        p = np.array([cfg.kernel_weights[k.name.lower()] for k in KernelKind])
+        ours, theirs = np.random.Generator(np.random.PCG64(5)), np.random.Generator(np.random.PCG64(5))
+        drawn = [bisect.bisect_right(chain._kernel_cdf, ours.random()) for _ in range(draws)]
+        chosen = [int(theirs.choice(len(p), p=p)) for _ in range(draws)]
+        assert drawn == chosen
+        assert ours.random() == theirs.random()
+        assert set(drawn) == set(np.flatnonzero(p))
+
+
+def test_allocate_log_density_is_the_share_of_draws():
+    # every ALLOCATE draw on a 40x40 frame: corner, half extents a and b,
+    # coin; a heads coin swaps the extents about the same centre
+    grid = free_box_grid(40, 40)
+    chain = Chain(grid, small_config(iterations=0))
+    n_x = n_y = 39
+    halves = np.arange(8, 21)  # ALLOCATE_HALF_MIN up to min(ALLOCATE_HALF_MAX, 40 / 2)
+    ex0, ey0, a, b, coin = np.meshgrid(np.arange(n_x), np.arange(n_y), halves, halves, np.arange(2), indexing="ij")
+    hu, hv = np.where(coin == 1, b, a), np.where(coin == 1, a, b)
+    boxes, counts = np.unique(np.stack([ex0 + a, ey0 + b, hu, hv]).reshape(4, -1), axis=1, return_counts=True)
+    total = counts.sum()
+    assert total == n_x * n_y * halves.size**2 * 2
+    assert set(counts.tolist()) == {1, 2}
+    for (cx, cy, u, v), count in zip(boxes.T.tolist(), counts.tolist()):
+        density = math.exp(chain._allocate_log_density(Unit(0, float(cx), float(cy), float(u), float(v))))
+        assert density == pytest.approx(count / total, rel=1e-12)
+    # boxes no draw reaches: off the lattice, too small, too large, or a
+    # corner past the last drawable one
+    for unit in (Unit(0, 20.5, 20.0, 10.0, 10.0), Unit(0, 20.0, 20.0, 7.0, 10.0),
+                 Unit(0, 30.0, 30.0, 21.0, 10.0), Unit(0, 49.0, 20.0, 10.0, 10.0)):
+        assert chain._allocate_log_density(unit) == -math.inf
+
+
+def test_allocate_and_delete_ratios_use_the_box_density():
+    chain = Chain(free_box_grid(), small_config(iterations=0))
+    w = chain.cfg.kernel_weights
+    start = chain.units
+    checked = 0
+    for _ in range(300):
+        chain.units = start
+        try:
+            born = chain.propose(KernelKind.ALLOCATE)
+        except NotApplicable:
+            continue
+        unit = born.changed_new[0]
+        density = chain._allocate_log_density(unit)
+        assert born.log_ratio == (math.log(w["delete"]) - math.log(len(start) + 1)) - (math.log(w["allocate"]) + density)
+        chain.units = (unit,)
+        assert chain.propose(KernelKind.DELETE).log_ratio == (math.log(w["allocate"]) + density) - math.log(w["delete"])
+        checked += 1
+    assert checked > 0
 
 
 # -- one semantics path -----------------------------------------------------------
