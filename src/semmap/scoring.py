@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,11 +248,6 @@ def _class_integrals(states: np.ndarray) -> np.ndarray:
 _CORNERS = np.array([1.0, -1.0, -1.0, 1.0])
 # input class along the first axis of an elementary rectangle's counts
 _CLASSES = np.arange(3)[:, None, None]
-# distinct worlds a field keeps the score of, least recently scored first
-# out: a floor chain (perfbench map 0, 60,000 iterations) proposes 4,249
-# distinct worlds in 53,399 calls and revisits them soon, so 4,096 entries
-# catch every repeat (92.0% of the calls; 1,024 entries catch 88.2%)
-SCORE_CACHE_SIZE = 4096
 
 
 class LikelihoodField:
@@ -267,12 +261,11 @@ class LikelihoodField:
     count per input class, so the log-likelihood is a histogram of cell
     counts over the categories of _term_table dotted with the table. The
     table's layout does not depend on how many units the field has seen,
-    so two worlds with the same histogram score exactly the same, whatever
-    the field scored before. ``score`` therefore keeps the scores of the
-    last SCORE_CACHE_SIZE distinct worlds, by units, types and doors, and
-    a revisited world reads its score back bit for bit; ``calls`` and
-    ``cache_hits`` count the calls and the hits. ``full_rescore``
-    rasterizes cell by cell; it is the oracle ``score`` is tested against.
+    so ``score`` is a pure function of the world's units, types and doors:
+    two worlds with the same histogram score exactly the same, whatever the
+    field scored before. The field keeps no scores; the chain memoizes the
+    posteriors of the worlds it proposes. ``full_rescore`` rasterizes cell
+    by cell; it is the oracle ``score`` is tested against.
     """
 
     def __init__(
@@ -293,9 +286,6 @@ class LikelihoodField:
         self.integrals = _class_integrals(self.inp)
         self._flat_integrals = self.integrals.reshape(3, -1)
         self._set_weights(1)
-        self._cache = OrderedDict()
-        self.calls = 0
-        self.cache_hits = 0
 
     def _set_weights(self, n: int):
         """Lay the _term_table of up to n units out by key * 3 + input
@@ -311,25 +301,8 @@ class LikelihoodField:
         self._max_units = n
 
     def score(self, world: World) -> float:
-        """Log-likelihood of a world whose doors are horizontal or vertical;
-        ValueError for a slanted door. Read from the cache when the same
-        units, types and doors were scored recently."""
-        self.calls += 1
-        key = (world.units, world.types, world.doors)
-        cache = self._cache
-        value = cache.get(key)
-        if value is not None:
-            cache.move_to_end(key)
-            self.cache_hits += 1
-            return value
-        value = self._score(world)
-        if len(cache) >= SCORE_CACHE_SIZE:
-            cache.popitem(last=False)
-        cache[key] = value
-        return value
-
-    def _score(self, world: World) -> float:
-        """The rectangle-algebra log-likelihood of a world, uncached."""
+        """The rectangle-algebra log-likelihood of a world whose doors are
+        horizontal or vertical; ValueError for a slanted door."""
         h, w = self.shape
         n = world.n
         boxes = [_unit_boxes(u, self.wall_thickness, w, h) for u in world.units]

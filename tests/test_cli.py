@@ -197,6 +197,17 @@ def test_infer_empty_map_exit_3(tmp_path):
     assert main(["infer", str(p), "--out", str(tmp_path / "o")]) == 3
 
 
+def test_infer_tiny_map_exit_0(tmp_path):
+    # 14x14 cells: no ALLOCATE half extent fits, so that kernel is skipped
+    cells = [["0" if x in (0, 13) or y in (0, 13) else "255" for x in range(14)] for y in range(14)]
+    p = tmp_path / "tiny.pgm"
+    p.write_text("P2\n14 14\n255\n" + "\n".join(" ".join(row) for row in cells) + "\n")
+    out = tmp_path / "o"
+    assert main(["infer", str(p), "--out", str(out), "--iterations", "200"]) == 0
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["chains"][0]["kernels"]["allocate"]["proposed"] == 0
+
+
 def test_infer_contradictory_rules_exit_3(tmp_path, capsys):
     prefix = tmp_path / "floor"
     assert main(["synth", "demo", "--seed", "4", "--out", str(prefix)]) == 0

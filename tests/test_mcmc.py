@@ -1,5 +1,6 @@
 import bisect
 import math
+from collections import OrderedDict
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,6 +25,7 @@ from semmap.mcmc import (
 from semmap.mln import hard_rules
 from semmap.scoring import LikelihoodConfig, LikelihoodField, SensorModelTable, log_prior
 from semmap.world import (
+    Door,
     Unit,
     UnitType,
     World,
@@ -110,7 +112,7 @@ def test_interchange_conserves_area_exactly():
 def test_interchange_requires_equal_cross_section():
     a = Unit(0, 20.0, 20.0, 10.0, 8.0)
     b = Unit(1, 40.0, 20.0, 10.0, 9.0)
-    assert interchange_candidates((a, b), 3.0) == []
+    assert interchange_candidates((a, b), 3.0) == ()
 
 
 def _lattice_unit(rng, uid, shape):
@@ -410,6 +412,58 @@ def test_best_world_is_rescored_when_a_refresh_opens_the_prior(monkeypatch):
     assert chain.best_units == aligned
 
 
+def test_memo_is_cleared_when_the_semantics_change_value(monkeypatch):
+    import semmap.mcmc as mcmc_mod
+
+    # the harness above: on an all-free map only the SaLe prior on the
+    # connecting walls tells the skewed pair from the aligned one
+    grid = ClassifiedGrid(np.full((60, 80), CellState.FREE, dtype=np.int8))
+    skewed = (Unit(0, 20.0, 30.0, 10.0, 12.0), Unit(1, 40.0, 30.0, 10.0, 8.0))
+    shrunk = (Unit(0, 20.0, 30.0, 10.0, 12.0), Unit(1, 40.0, 30.0, 10.0, 7.0))
+    chain = Chain(grid, small_config(iterations=0, hall_area_min_m2=25.0))
+    real = mcmc_mod.derive_semantics
+    gate = {"sale": False, "type": UnitType.ROOM, "doors": ()}
+
+    def semantics(units, *args, **kwargs):
+        sem = real(units, *args, **kwargs)
+        sale = {(0, 1): 1.0} if gate["sale"] and len(units) == 2 else {}
+        types = tuple(gate["type"] for _ in units)
+        return mcmc_mod.Semantics(sem.relations, gate["doors"], "key", types, sale)
+
+    monkeypatch.setattr(mcmc_mod, "derive_semantics", semantics)
+    chain.units = skewed
+    chain.refresh(force=True)
+    epochs = chain.semantic_epochs
+    assert chain._posterior_parts(skewed)[1] == 0.0
+    # a geometric accept that changes no type keeps the entries
+    assert chain.accept(mcmc_mod.Proposal(KernelKind.SHRINK, shrunk, (1, 3, 1.0), (), math.inf, skewed[1:], shrunk[1:]))
+    assert chain.types == {0: UnitType.ROOM, 1: UnitType.ROOM}
+    assert skewed in chain._memo and chain.semantic_epochs == epochs
+    # so does a refresh whose semantics are new objects of equal value
+    chain.refresh()
+    assert skewed in chain._memo and chain.semantic_epochs == epochs
+    # a refresh that opens the prior clears them: the skewed pair, memoized
+    # without a prior, now pays for its walls
+    gate["sale"] = True
+    chain.refresh()
+    assert chain.semantic_epochs == epochs + 1 and not chain._memo
+    lik, prior = chain._posterior_parts(skewed)
+    assert prior == chain._prior_value(skewed) < 0.0
+    assert lik == chain.scorer.score(chain._world(skewed))
+    # a refresh that changes only the types clears them too
+    gate["type"] = UnitType.CORRIDOR
+    chain.refresh()
+    assert chain.semantic_epochs == epochs + 2 and skewed not in chain._memo
+    assert chain._world(skewed).types == (UnitType.CORRIDOR,) * 2
+    # and so does one that changes only the doors: the door in the shared
+    # wall opens wall cells onto the free map
+    chain._posterior_parts(skewed)
+    gate["doors"] = (Door(0, 1, (30.0, 26.0), (30.0, 34.0), 8.0),)
+    chain.refresh()
+    assert chain.semantic_epochs == epochs + 3 and skewed not in chain._memo
+    assert chain._posterior_parts(skewed)[0] == chain.scorer.score(chain._world(skewed)) > lik
+
+
 def test_refresh_cadence_triggers_on_counters():
     grid = free_box_grid()
     cfg = small_config(seed=5, iterations=0, mln_refresh_structural=3, mln_refresh_geometric=5)
@@ -459,14 +513,72 @@ def test_run_returns_fully_derived_world():
     assert set(stats["kernels"].keys()) == {k.name.lower() for k in KernelKind}
 
 
-def test_run_counts_likelihood_calls_and_cache_hits():
+def test_run_counts_posterior_lookups_and_memo_hits():
+    class CountingMemo(OrderedDict):
+        inserted = 0
+
+        def __setitem__(self, key, value):
+            self.inserted += 1
+            super().__setitem__(key, value)
+
     chain = Chain(free_box_grid(), small_config(seed=8, iterations=600))
+    chain._memo = memo = CountingMemo()
     _, _, stats = chain.run()
     proposed = sum(k["proposed"] for k in stats["kernels"].values())
-    # one call per proposal, plus the refreshes' rescoring
-    assert stats["score_calls"] == chain.scorer.calls >= proposed
-    assert 0 < stats["score_cache_hits"] == chain.scorer.cache_hits
-    assert stats["score_calls"] - stats["score_cache_hits"] == len(chain.scorer._cache)
+    # one lookup per proposal; each miss scores the world and stores it
+    assert stats["score_calls"] == chain.score_calls == proposed
+    assert 0 < stats["score_cache_hits"] == chain.score_cache_hits
+    assert stats["score_calls"] - stats["score_cache_hits"] == memo.inserted
+    assert stats["semantic_epochs"] == chain.semantic_epochs >= 1
+
+
+def test_memo_hit_returns_the_fresh_posterior():
+    # a two-rooms chain whose prior acts on most iterations, refreshing
+    # often enough to pass through several semantic epochs
+    cfg = small_config(seed=1, iterations=0, hall_area_min_m2=25.0, mln_refresh_structural=2, mln_refresh_geometric=10)
+    chain = Chain(build_two_rooms_map(), cfg, rules=hard_rules())
+    real = chain._posterior_parts
+    seen = {"hits": 0, "prior": 0, "epochs": set()}
+
+    def checked(units):
+        hit = units in chain._memo
+        parts = real(units)
+        if hit:
+            # bit for bit what a fresh world, score and prior give
+            assert parts == (chain.scorer.score(chain._world(units)), chain._prior_value(units))
+            seen["hits"] += 1
+            seen["prior"] += parts[1] != 0.0
+            seen["epochs"].add(chain.semantic_epochs)
+        return parts
+
+    chain._posterior_parts = checked
+    for _ in range(3000):
+        chain.step()
+    assert seen["hits"] > 500 and seen["prior"] > 100 and len(seen["epochs"]) > 5, seen
+
+
+def test_memo_keeps_the_most_recent_proposals_up_to_its_size():
+    import semmap.mcmc as mcmc_mod
+
+    chain = Chain(free_box_grid(40, 40), small_config(iterations=0))
+
+    def units(i):
+        return (Unit(0, 10.0 + (i % 80) / 4.0, 20.0, 4.0 + i // 80, 6.0),)
+
+    size = mcmc_mod.POSTERIOR_MEMO_SIZE
+    n = size + 50
+    for i in range(n):
+        chain._posterior_parts(units(i))
+        chain._posterior_parts(units(0))  # kept as the most recently proposed
+        assert len(chain._memo) <= size
+    # every lookup of units(0) after the first hit: the least recently
+    # proposed go first
+    assert chain.score_cache_hits == n
+    assert len(chain._memo) == size
+    chain._posterior_parts(units(n - 1))
+    assert chain.score_cache_hits == n + 1
+    chain._posterior_parts(units(1))  # dropped
+    assert chain.score_cache_hits == n + 1
 
 
 def test_kernel_draw_is_generator_choice():

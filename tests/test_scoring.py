@@ -10,7 +10,6 @@ from semmap.grid import CellState, ClassifiedGrid
 from semmap.scoring import (
     DEFAULT_CORRIDOR_TABLE,
     DEFAULT_NONCORRIDOR_TABLE,
-    SCORE_CACHE_SIZE,
     LikelihoodConfig,
     LikelihoodField,
     PriorConfig,
@@ -419,7 +418,7 @@ def test_field_score_does_not_depend_on_the_units_seen_before():
         fresh = LikelihoodField(grid, SensorModelTable(), LikelihoodConfig())
         grown = LikelihoodField(grid, SensorModelTable(), LikelihoodConfig())
         grown._set_weights(16)
-        assert fresh._score(world) == grown._score(world)
+        assert fresh.score(world) == grown.score(world)
         states = rasterize(world.units, grid, 2.0, world.doors)
         seen["overlap"] += int(np.count_nonzero(states.membership >= 2))
         seen["corridor"] += sum(t == UnitType.CORRIDOR for t in world.types)
@@ -428,46 +427,6 @@ def test_field_score_does_not_depend_on_the_units_seen_before():
             u.aabb()[0] < 0 or u.aabb()[1] < 0 or u.aabb()[2] > shape[1] or u.aabb()[3] > shape[0] for u in world.units
         )
     assert all(count > 0 for count in seen.values()), seen
-
-
-def test_field_cache_hit_returns_the_uncached_score():
-    rng = np.random.default_rng(32)
-    shape = (48, 64)
-    grid = ClassifiedGrid(rng.integers(0, 3, size=shape).astype(np.int8))
-    field = LikelihoodField(grid, SensorModelTable(), LikelihoodConfig())
-    worlds = []
-    for _ in range(40):
-        world = _random_axis_world(rng, shape)[0]
-        # the same units without doors or with other types are other entries
-        worlds += [world, replace(world, doors=()), replace(world, types=(UnitType.CORRIDOR,) * world.n)]
-    first = [field.score(world) for world in worlds]
-    distinct = len({(w.units, w.types, w.doors) for w in worlds})
-    assert (field.calls, field.cache_hits) == (120, 120 - distinct)
-    for world, value in zip(worlds, first):
-        # an equal world built anew hits the entry of the first
-        again = World(units=tuple(world.units), types=tuple(world.types), doors=tuple(world.doors))
-        assert field.score(again) == value == field._score(world)
-    assert (field.calls, field.cache_hits) == (240, 240 - distinct)
-
-
-def test_field_cache_keeps_the_most_recent_worlds_up_to_its_size():
-    field = LikelihoodField(uniform_grid((40, 40), CellState.FREE), SensorModelTable(), LikelihoodConfig())
-
-    def world(i):
-        return World(units=(Unit(0, 10.0 + (i % 80) / 4.0, 20.0, 4.0 + i // 80, 6.0),), types=(UnitType.ROOM,))
-
-    n = SCORE_CACHE_SIZE + 50
-    for i in range(n):
-        field.score(world(i))
-        field.score(world(0))  # kept as the most recently scored
-        assert len(field._cache) <= SCORE_CACHE_SIZE
-    # every rescoring of world(0) hit: the least recently scored go first
-    assert field.cache_hits == n
-    assert len(field._cache) == SCORE_CACHE_SIZE
-    field.score(world(n - 1))
-    assert field.cache_hits == n + 1
-    field.score(world(1))  # dropped
-    assert field.cache_hits == n + 1
 
 
 # -- bit-exact reference: the mask-rule rasterizer and 2-D table terms --------
